@@ -52,6 +52,7 @@ from .bell import (
     STANDARD_SETTINGS,
     ChshSettings,
     ScanTable,
+    chsh_batch,
     chsh_value,
     maximize_chsh,
     proper_time_comparison,

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import ChshSettings, chsh_value
+from .bell import ChshSettings, chsh_batch, chsh_value
 from .errors import DegenerateObservable, EmptyDistribution, ParseError, SuperluminalSample
+from .kinematics import Z_AXIS
 
 NO_ALARM = "NoAlarm"
 FALSE_ALARM_RISK = "FalseAlarmRisk"
@@ -60,7 +61,7 @@ class VelocityDistribution:
             raise SuperluminalSample(
                 f"sample {k} has |beta| = {float(mags[k])!r} >= 1: {tuple(betas[k])}"
             )
-        return cls(betas=betas, weights=weights / float(np.sum(weights)))
+        return cls(betas=betas, weights=weights / math.fsum(weights.tolist()))
 
 
 def load_distribution(text: str) -> VelocityDistribution:
@@ -99,40 +100,34 @@ def load_distribution(text: str) -> VelocityDistribution:
     return VelocityDistribution.from_samples(betas, weights)
 
 
-def _neumaier_sum(values) -> float:
-    """Compensated summation; the result is independent of sample order
-    to well below the audit tolerances."""
-    total = 0.0
-    compensation = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            compensation += (total - t) + v
-        else:
-            compensation += (v - t) + total
-        total = t
-    return total + compensation
-
-
 def per_sample_chsh(dist: VelocityDistribution, settings: ChshSettings) -> np.ndarray:
-    """CHSH value at each velocity sample.
+    """CHSH value at each velocity sample, in one ``chsh_batch`` call.
 
     A degenerate sample (only possible at |beta| = 1, which the loader
     already rejects) is reported with its index.
     """
-    out = np.empty(len(dist))
-    for k in range(len(dist)):
-        try:
-            out[k] = chsh_value(settings, dist.betas[k])
-        except DegenerateObservable as exc:
-            raise DegenerateObservable(f"sample {k}: {exc}") from exc
-    return out
+    speed = np.sqrt(np.einsum("ij,ij->i", dist.betas, dist.betas))
+    moving = speed > 0.0
+    direction = np.tile(Z_AXIS, (len(dist), 1))
+    direction[moving] = dist.betas[moving] / speed[moving, None]
+    values, degenerate = chsh_batch(settings.axes, speed, direction)
+    if degenerate.any():
+        k, axis = (int(i) for i in np.argwhere(degenerate)[0])
+        raise DegenerateObservable(
+            f"sample {k}: setting {settings.labeled()[axis][0]} degenerate at "
+            f"|beta| = {float(speed[k])!r}")
+    return values
+
+
+def _weighted_sum(dist: VelocityDistribution, values) -> float:
+    """Correctly rounded sum of weight * value, so exactly independent of
+    the sample order."""
+    return math.fsum((dist.weights * values).tolist())
 
 
 def expected_chsh(dist: VelocityDistribution, settings: ChshSettings) -> float:
-    """Velocity-averaged CHSH value, compensated summation."""
-    values = per_sample_chsh(dist, settings)
-    return _neumaier_sum(w * v for w, v in zip(dist.weights, values))
+    """Velocity-averaged CHSH value, correctly rounded sum."""
+    return _weighted_sum(dist, per_sample_chsh(dist, settings))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +210,7 @@ def audit(dist: VelocityDistribution, settings: ChshSettings,
     if not (0.0 < threshold <= _MAX_CHSH + 1e-12):
         raise ValueError(f"threshold must lie in (0, 2*sqrt(2)], got {threshold!r}")
     values = per_sample_chsh(dist, settings)
-    expected = _neumaier_sum(w * v for w, v in zip(dist.weights, values))
+    expected = _weighted_sum(dist, values)
     ideal = chsh_value(settings, np.zeros(3))
     return AuditReport(
         expected_chsh=expected,

@@ -10,25 +10,31 @@ the standard coplanar settings reach the quantum bound |c| = 2 sqrt(2).
 For a moving pair the bound survives only when every axis stays
 orthogonal to the motion; otherwise the deformation of the analyzer axes
 suppresses |c|, and an apparatus calibrated at rest will underreport the
-correlation. The scan helpers in this module tabulate that suppression
-over velocity grids; ``maximize_chsh`` searches for the best settings at
-a fixed velocity.
+correlation. ``chsh_batch`` evaluates the combination over whole
+batches of velocities; ``chsh_value`` and the scan helpers, which
+tabulate the suppression over velocity grids, run through it.
+``maximize_chsh`` searches for the best settings at a fixed velocity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateObservable, EmptyGrid
-from .kinematics import BeamVelocity, alpha_norm, check_unit
-from .observables import DEGENERACY_THRESHOLD, eprb_closed_form
+from .kinematics import _UNIT_TOL, BeamVelocity, check_unit
+from .observables import DEGENERACY_THRESHOLD
 
 # Correctly rounded 1/sqrt(2); 1.0/math.sqrt(2.0) is one ulp low and the
 # rest-frame CHSH combination would then miss -2*sqrt(2) by an ulp too.
 _SQ2 = math.sqrt(0.5)
+
+_LABELS = ("a", "a_prime", "b", "b_prime")
+# Signs of -E in the CHSH terms, as a (a, a') x (b, b') table.
+_TERM_SIGNS = np.array([[-1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +55,13 @@ class ChshSettings:
             b_prime=check_unit(b_prime, "b_prime"),
         )
 
+    @property
+    def axes(self) -> np.ndarray:
+        """The axes a, a', b, b' as the rows of a (4, 3) array."""
+        return np.array((self.a, self.a_prime, self.b, self.b_prime))
+
     def labeled(self):
-        return (("a", self.a), ("a_prime", self.a_prime),
-                ("b", self.b), ("b_prime", self.b_prime))
+        return tuple(zip(_LABELS, (self.a, self.a_prime, self.b, self.b_prime)))
 
 
 #: Coplanar settings that reach -2 sqrt(2) for a pair at rest.
@@ -63,8 +73,73 @@ STANDARD_SETTINGS = ChshSettings(
 )
 
 
+def _check_unit_rows(v, name, labels=None) -> None:
+    """Raise ValueError naming the first row of v that is not a unit
+    vector within 1e-12 (non-finite rows included)."""
+    norm = np.sqrt(np.einsum("...j,...j->...", v, v))
+    off = ~(np.abs(norm - 1.0) <= _UNIT_TOL)
+    if off.any():
+        idx = tuple(int(i) for i in np.argwhere(off)[0])
+        if labels is not None:
+            name = f"{name} {labels[idx[-1]]}"
+        raise ValueError(f"{name} must be a unit vector, got |v| = {float(norm[idx])!r}")
+
+
+def chsh_batch(axes, speed, direction):
+    """CHSH values over a batch of velocities, validated once per batch.
+
+    ``axes``: the settings a, a', b, b' as rows, (4, 3) or (..., 4, 3);
+    ``speed``: |beta| in [0, 1], (...); ``direction``: unit motion
+    directions, (..., 3), any unit vector at speed 0. Batch shapes
+    broadcast; speed comes apart from direction so that 1 stays exact.
+    Returns (values, degenerate): ``degenerate`` (batch + (4,)) marks the
+    settings with |alpha|^2 = (1 - beta^2) + beta^2 (n.a)^2 at most
+    DEGENERACY_THRESHOLD^2, and ``values`` (batch) is NaN there. Each
+    value is the math.fsum of its four terms, so the standard settings
+    at rest give exactly the rounding of -2 sqrt(2).
+    """
+    axes = np.asarray(axes, dtype=float)
+    speed = np.asarray(speed, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    if axes.shape[-2:] != (4, 3) or direction.shape[-1:] != (3,):
+        raise ValueError(f"settings axes must have shape (..., 4, 3) and directions (..., 3), "
+                         f"got {axes.shape} and {direction.shape}")
+    _check_unit_rows(axes, "setting", _LABELS)
+    _check_unit_rows(direction, "motion direction")
+    if not (speed.min(initial=0.0) >= 0.0 and speed.max(initial=0.0) <= 1.0):
+        bad = speed[~((speed >= 0.0) & (speed <= 1.0))].flat[0]
+        raise ValueError(f"speed must be finite and lie in [0, 1], got {float(bad)!r}")
+    return _chsh(axes, speed, direction)
+
+
+def _chsh(axes, speed, direction):
+    """chsh_batch without the validation, for inputs already checked."""
+    n_dot = np.einsum("...j,...kj->...k", direction, axes)
+    b2 = speed[..., None] * speed[..., None]
+    len2 = (1.0 - b2) + b2 * (n_dot * n_dot)
+    degenerate = len2 <= DEGENERACY_THRESHOLD**2
+    any_degenerate = degenerate.any()
+    length = np.sqrt(np.where(degenerate, 1.0, len2) if any_degenerate else len2)
+    # alpha(a) . alpha(b) = (1 - beta^2) a . b + beta^2 (n.a)(n.b), which
+    # is exact at rest and at light speed; built in place to keep the peak
+    # memory of large batches down.
+    b2 = b2[..., None]
+    terms = b2 * (n_dot[..., :2, None] * n_dot[..., None, 2:])
+    terms += (1.0 - b2) * np.einsum("...ij,...kj->...ik", axes[..., :2, :], axes[..., 2:, :])
+    terms /= length[..., :2, None] * length[..., None, 2:]
+    terms *= _TERM_SIGNS
+    # Rows go to math.fsum in chunks, so that no list of all rows is built.
+    flat = terms.reshape(-1, 4)
+    rows = chain.from_iterable(flat[k:k + 1024].tolist() for k in range(0, len(flat), 1024))
+    values = np.fromiter(map(math.fsum, rows), dtype=float, count=len(flat))
+    values = values.reshape(terms.shape[:-2])
+    if any_degenerate:
+        values[degenerate.any(axis=-1)] = math.nan
+    return values, degenerate
+
+
 def chsh_value(settings: ChshSettings, beta, correlation=None) -> float:
-    """The CHSH combination at velocity beta.
+    """The CHSH combination at velocity beta, through ``chsh_batch``.
 
     ``correlation`` may swap in an alternative correlation function with
     the signature of ``eprb_closed_form`` (the matrix-oracle route is the
@@ -72,15 +147,19 @@ def chsh_value(settings: ChshSettings, beta, correlation=None) -> float:
     collapsed setting when |beta| = 1 makes an axis degenerate.
     """
     bv = BeamVelocity.of(beta)
-    for label, axis in settings.labeled():
-        if alpha_norm(axis, bv) <= DEGENERACY_THRESHOLD:
-            raise DegenerateObservable(f"setting {label} degenerate at |beta| = {bv.magnitude!r}")
-    corr = eprb_closed_form if correlation is None else correlation
+    axes = settings.axes
+    _check_unit_rows(axes, "setting", _LABELS)
+    value, degenerate = _chsh(axes, np.asarray(bv.magnitude), bv.direction)
+    if degenerate.any():
+        label = _LABELS[int(np.argmax(degenerate))]
+        raise DegenerateObservable(f"setting {label} degenerate at |beta| = {bv.magnitude!r}")
+    if correlation is None:
+        return float(value)
     return math.fsum([
-        corr(settings.a, settings.b, bv),
-        corr(settings.a, settings.b_prime, bv),
-        corr(settings.a_prime, settings.b, bv),
-        -corr(settings.a_prime, settings.b_prime, bv),
+        correlation(settings.a, settings.b, bv),
+        correlation(settings.a, settings.b_prime, bv),
+        correlation(settings.a_prime, settings.b, bv),
+        -correlation(settings.a_prime, settings.b_prime, bv),
     ])
 
 
@@ -107,10 +186,12 @@ class ScanTable:
         expected = tuple(len(c) for c in self.coords) + (len(self.columns),)
         if tuple(self.values.shape) != expected:
             raise ValueError(f"values shape {self.values.shape} != grid shape {expected}")
-        gapset = set(self.gaps)
-        for idx in np.ndindex(*self.values.shape[:-1]):
-            if idx not in gapset and not np.all(np.isfinite(self.values[idx])):
-                raise ValueError(f"non-finite value at grid point {idx} not marked as a gap")
+        unmarked = ~np.all(np.isfinite(self.values), axis=-1)
+        if self.gaps:
+            unmarked[tuple(np.array(self.gaps).T)] = False
+        if unmarked.any():
+            idx = tuple(int(i) for i in np.argwhere(unmarked)[0])
+            raise ValueError(f"non-finite value at grid point {idx} not marked as a gap")
 
     def to_csv(self) -> str:
         lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
@@ -126,11 +207,15 @@ class ScanTable:
         return "\n".join(lines) + "\n"
 
 
-def _settings_metadata(settings: ChshSettings) -> dict:
-    return {
-        label: ",".join(repr(float(x)) for x in axis)
-        for label, axis in settings.labeled()
-    }
+def _chsh_table(settings: ChshSettings, axes, coords, columns, speed, direction,
+                metadata) -> ScanTable:
+    """chsh_batch over a grid of batch shape coordinates + (columns,); a
+    grid point is a gap when a setting degenerates in any column."""
+    values, degenerate = chsh_batch(settings.axes, speed, direction)
+    gaps = np.argwhere(degenerate.any(axis=(-2, -1)))
+    labeled = {label: ",".join(repr(float(x)) for x in axis) for label, axis in settings.labeled()}
+    return ScanTable(axes=axes, coords=coords, columns=columns, values=values,
+                     gaps=tuple(map(tuple, gaps.tolist())), metadata={**labeled, **metadata})
 
 
 def scan_beta_phi(settings: ChshSettings, beta_grid, phi_grid) -> ScanTable:
@@ -145,57 +230,35 @@ def scan_beta_phi(settings: ChshSettings, beta_grid, phi_grid) -> ScanTable:
     phi_grid = np.asarray(phi_grid, dtype=float).reshape(-1)
     if beta_grid.size == 0 or phi_grid.size == 0:
         raise EmptyGrid("scan_beta_phi needs at least one speed and one azimuth")
-    if np.any(beta_grid < 0.0) or np.any(beta_grid > 1.0):
-        raise ValueError("speeds must lie in [0, 1]")
-    values = np.empty((beta_grid.size, phi_grid.size, 1))
-    gaps = []
-    for i, b in enumerate(beta_grid):
-        for k, phi in enumerate(phi_grid):
-            beta = np.array([b * math.cos(phi), b * math.sin(phi), 0.0])
-            try:
-                values[i, k, 0] = chsh_value(settings, beta)
-            except DegenerateObservable:
-                values[i, k, 0] = math.nan
-                gaps.append((i, k))
-    meta = _settings_metadata(settings)
-    meta["beta_parametrization"] = "beta*(cos(phi),sin(phi),0)"
-    return ScanTable(
-        axes=("beta", "phi"), coords=(beta_grid, phi_grid), columns=("chsh",),
-        values=values, gaps=tuple(gaps), metadata=meta,
+    direction = np.stack([np.cos(phi_grid), np.sin(phi_grid), np.zeros_like(phi_grid)], -1)
+    return _chsh_table(
+        settings, ("beta", "phi"), (beta_grid, phi_grid), ("chsh",),
+        beta_grid[:, None, None], direction[None, :, None, :],
+        {"beta_parametrization": "beta*(cos(phi),sin(phi),0)"},
     )
 
 
-def scan_theta_phi(settings: ChshSettings, beta_mag: float, theta_grid, phi_grid) -> ScanTable:
-    """CHSH values over all motion directions at a fixed speed.
+def scan_theta_phi(settings: ChshSettings, beta_mag, theta_grid, phi_grid) -> ScanTable:
+    """CHSH values over all motion directions at one or more fixed speeds.
 
     The velocity direction is (cos phi sin theta, sin phi sin theta,
     cos theta); theta = 0 points out of the settings plane, where the
-    rest-frame value survives.
+    rest-frame value survives. ``beta_mag`` is a speed or a sequence of
+    speeds in [0, 1], one column ``chsh_beta_<speed>`` each; a grid point
+    that is degenerate at any of the speeds is a gap in every column.
     """
+    speeds = [float(m) for m in np.asarray(beta_mag, dtype=float).reshape(-1)]
     theta_grid = np.asarray(theta_grid, dtype=float).reshape(-1)
     phi_grid = np.asarray(phi_grid, dtype=float).reshape(-1)
-    if theta_grid.size == 0 or phi_grid.size == 0:
-        raise EmptyGrid("scan_theta_phi needs at least one polar and one azimuthal angle")
-    if not (0.0 <= beta_mag <= 1.0):
-        raise ValueError(f"speed must lie in [0, 1], got {beta_mag!r}")
-    values = np.empty((theta_grid.size, phi_grid.size, 1))
-    gaps = []
-    for i, th in enumerate(theta_grid):
-        for k, phi in enumerate(phi_grid):
-            beta = beta_mag * np.array(
-                [math.cos(phi) * math.sin(th), math.sin(phi) * math.sin(th), math.cos(th)]
-            )
-            try:
-                values[i, k, 0] = chsh_value(settings, beta)
-            except DegenerateObservable:
-                values[i, k, 0] = math.nan
-                gaps.append((i, k))
-    meta = _settings_metadata(settings)
-    meta["beta_magnitude"] = repr(float(beta_mag))
-    meta["beta_parametrization"] = "beta*(cos(phi)sin(theta),sin(phi)sin(theta),cos(theta))"
-    return ScanTable(
-        axes=("theta", "phi"), coords=(theta_grid, phi_grid), columns=("chsh",),
-        values=values, gaps=tuple(gaps), metadata=meta,
+    if not speeds or theta_grid.size == 0 or phi_grid.size == 0:
+        raise EmptyGrid("scan_theta_phi needs at least one speed, one polar and one azimuthal angle")
+    th, phi = np.meshgrid(theta_grid, phi_grid, indexing="ij")
+    direction = np.stack([np.cos(phi) * np.sin(th), np.sin(phi) * np.sin(th), np.cos(th)], -1)
+    return _chsh_table(
+        settings, ("theta", "phi"), (theta_grid, phi_grid),
+        tuple(f"chsh_beta_{m!r}" for m in speeds), np.array(speeds), direction[:, :, None, :],
+        {"beta_magnitude": ",".join(repr(m) for m in speeds),
+         "beta_parametrization": "beta*(cos(phi)sin(theta),sin(phi)sin(theta),cos(theta))"},
     )
 
 
@@ -214,11 +277,8 @@ def proper_time_comparison(beta_grid) -> ScanTable:
         raise EmptyGrid("proper_time_comparison needs at least one speed")
     if np.any(beta_grid < 0.0) or np.any(beta_grid > 1.0):
         raise ValueError("speeds must lie in [0, 1]")
-    values = np.empty((beta_grid.size, 2))
-    for i, b in enumerate(beta_grid):
-        b2 = b * b
-        values[i, 0] = -b2 / (2.0 - b2)
-        values[i, 1] = math.sqrt(1.0 - b2) - 1.0
+    b2 = beta_grid * beta_grid
+    values = np.stack([-b2 / (2.0 - b2), np.sqrt(1.0 - b2) - 1.0], axis=-1)
     return ScanTable(
         axes=("beta",), coords=(beta_grid,), columns=("correlation", "proper_time"),
         values=values,

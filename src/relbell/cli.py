@@ -35,7 +35,7 @@ from .audit import FALSE_ALARM_RISK, audit, load_distribution
 from .bell import (
     STANDARD_SETTINGS,
     ChshSettings,
-    ScanTable,
+    chsh_batch,
     chsh_value,
     proper_time_comparison,
     scan_beta_phi,
@@ -169,17 +169,7 @@ def _cmd_fig2(args) -> int:
     settings = args.settings if args.settings is not None else STANDARD_SETTINGS
     thetas = np.linspace(0.0, math.pi, args.grid)
     phis = np.linspace(0.0, 2.0 * math.pi, args.grid)
-    tables = [scan_theta_phi(settings, mag, thetas, phis) for mag in args.beta_mag]
-    merged = ScanTable(
-        axes=("theta", "phi"),
-        coords=(thetas, phis),
-        columns=tuple(f"chsh_beta_{mag!r}" for mag in args.beta_mag),
-        values=np.concatenate([t.values for t in tables], axis=-1),
-        gaps=tuple(sorted({g for t in tables for g in t.gaps})),
-        metadata={**tables[0].metadata,
-                  "beta_magnitude": ",".join(repr(m) for m in args.beta_mag)},
-    )
-    _emit(merged.to_csv(), args.out)
+    _emit(scan_theta_phi(settings, args.beta_mag, thetas, phis).to_csv(), args.out)
     return 0
 
 
@@ -289,17 +279,19 @@ def _cmd_selftest(args) -> int:
                  f"limit=1e-12 {'PASS' if passed else 'FAIL'}")
 
     bound = _MAX_CHSH + 1e-9
-    max_c = 0.0
-    for _ in range(10 * args.samples):
-        settings = ChshSettings(
-            a=_random_direction(rng), a_prime=_random_direction(rng),
-            b=_random_direction(rng), b_prime=_random_direction(rng),
-        )
-        beta = rng.uniform(0.0, 0.999) * _random_direction(rng)
-        max_c = max(max_c, abs(chsh_value(settings, beta)))
+    count = 10 * args.samples
+    axes = np.empty((count, 4, 3))
+    speed = np.empty(count)
+    direction = np.empty((count, 3))
+    for k in range(count):
+        for j in range(4):
+            axes[k, j] = _random_direction(rng)
+        speed[k] = rng.uniform(0.0, 0.999)
+        direction[k] = _random_direction(rng)
+    max_c = float(np.max(np.abs(chsh_batch(axes, speed, direction)[0])))
     passed = max_c <= bound
     ok = ok and passed
-    lines.append(f"chsh_bound samples={10 * args.samples} max_abs={max_c!r} "
+    lines.append(f"chsh_bound samples={count} max_abs={max_c!r} "
                  f"limit={bound!r} {'PASS' if passed else 'FAIL'}")
 
     _emit("\n".join(lines) + "\n", args.out)

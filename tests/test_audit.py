@@ -126,7 +126,7 @@ class TestExpectedChsh:
             shuffled = VelocityDistribution.from_samples(
                 [betas[i] for i in order], weights[order]
             )
-            assert abs(expected_chsh(shuffled, STANDARD_SETTINGS) - base) < 1e-12
+            assert expected_chsh(shuffled, STANDARD_SETTINGS) == base
 
     def test_never_exceeds_quantum_bound(self, rng):
         for _ in range(10):

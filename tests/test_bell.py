@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import unit
+from conftest import random_direction, unit
 from relbell.bell import (
     STANDARD_SETTINGS,
     ChshSettings,
     ScanTable,
+    chsh_batch,
     chsh_value,
     maximize_chsh,
     proper_time_comparison,
@@ -18,7 +19,8 @@ from relbell.bell import (
     scan_theta_phi,
 )
 from relbell.errors import DegenerateObservable, EmptyGrid
-from relbell.observables import eprb_oracle
+from relbell.kinematics import BeamVelocity, alpha_norm
+from relbell.observables import DEGENERACY_THRESHOLD, eprb_oracle
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)  # 2.8284271247461903
 
@@ -87,6 +89,90 @@ class TestChshValue:
     def test_settings_of_validates_axes(self):
         with pytest.raises(ValueError, match="a_prime"):
             ChshSettings.of([1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1])
+
+
+def oracle_chsh(axes, bv):
+    a, a_prime, b, b_prime = axes
+    return math.fsum([
+        eprb_oracle(a, b, bv), eprb_oracle(a, b_prime, bv),
+        eprb_oracle(a_prime, b, bv), -eprb_oracle(a_prime, b_prime, bv),
+    ])
+
+
+class TestChshBatch:
+    def test_matches_the_oracle_route(self, rng):
+        # Random settings and velocities up to |beta| = 0.999, plus rows at
+        # exactly light speed with one setting turned orthogonal to the
+        # motion, so that the gap mask is tested on both outcomes.
+        count = 300
+        axes = np.array([[random_direction(rng) for _ in range(4)] for _ in range(count)])
+        direction = np.array([random_direction(rng) for _ in range(count)])
+        speed = rng.uniform(0.0, 0.999, size=count)
+        luminal = np.arange(count) % 10 == 0
+        speed[luminal] = 1.0
+        for k in np.flatnonzero(luminal)[::2]:
+            j = k // 10 % 4
+            axes[k, j] = unit(np.cross(direction[k], axes[k, j]))
+        values, degenerate = chsh_batch(axes, speed, direction)
+        assert values.shape == (count,) and degenerate.shape == (count, 4)
+        for k in range(count):
+            bv = BeamVelocity(beta=speed[k] * direction[k], magnitude=float(speed[k]),
+                              direction=direction[k])
+            norms = [alpha_norm(axis, bv) for axis in axes[k]]
+            assert list(degenerate[k]) == [n <= DEGENERACY_THRESHOLD for n in norms]
+            if degenerate[k].any():
+                assert np.isnan(values[k])
+            elif not luminal[k]:
+                assert abs(values[k] - oracle_chsh(axes[k], bv)) < 1e-12
+        assert degenerate[luminal].any(axis=1).sum() == luminal.sum() // 2
+
+    def test_rest_frame_bit_exact(self):
+        values, degenerate = chsh_batch(STANDARD_SETTINGS.axes, np.zeros(3), np.eye(3))
+        assert list(values) == [-2.8284271247461903] * 3
+        assert not degenerate.any()
+
+    def test_values_are_correctly_rounded_sums(self):
+        # Every dot product is exact here, so the four terms are exactly
+        # -0.6, -0.28, -0.8 and +0.96; summed left to right they would
+        # round to -0.7200000000000002.
+        axes = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.28, 0.96, 0.0]]
+        values, _ = chsh_batch(axes, 0.0, [0.0, 0.0, 1.0])
+        assert values == math.fsum([-0.6, -0.28, -0.8, 0.96]) == -0.7200000000000001
+
+    def test_light_speed_degeneracy_without_cancellation(self):
+        # At |beta| = 1 along x, |alpha(b)| = |n.b| = 2e-12 stays above the
+        # 1e-12 threshold; 1 + beta^2 ((n.b)^2 - 1) would cancel to 0.
+        tilt = 2e-12
+        axes = STANDARD_SETTINGS.axes
+        axes[2] = [tilt, math.sqrt(1.0 - tilt * tilt), 0.0]
+        values, degenerate = chsh_batch(axes, 1.0, [1.0, 0.0, 0.0])
+        assert not degenerate.any()
+        assert values == -2.0
+
+    def test_batch_shapes_broadcast(self):
+        speeds = np.array([0.0, 0.5, 0.9])
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        values, degenerate = chsh_batch(STANDARD_SETTINGS.axes, speeds[:, None], dirs)
+        assert values.shape == (3, 2) and degenerate.shape == (3, 2, 4)
+        for i, mag in enumerate(speeds):
+            for k, d in enumerate(dirs):
+                assert abs(values[i, k] - chsh_value(STANDARD_SETTINGS, mag * d)) < 1e-15
+
+    def test_rejects_invalid_batches(self):
+        axes = STANDARD_SETTINGS.axes
+        z = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="speed"):
+            chsh_batch(axes, [0.5, 1.0 + 1e-15], z)
+        with pytest.raises(ValueError, match="speed"):
+            chsh_batch(axes, math.nan, z)
+        with pytest.raises(ValueError, match="motion direction"):
+            chsh_batch(axes, 0.5, [0.0, 0.0, 1.0 + 1e-9])
+        bent = axes.copy()
+        bent[3] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="setting b_prime"):
+            chsh_batch(bent, 0.5, z)
+        with pytest.raises(ValueError, match="shape"):
+            chsh_batch(axes[:3], 0.5, z)
 
 
 class TestScanBetaPhi:
@@ -208,7 +294,7 @@ class TestScanTableValidation:
 
     def test_unmarked_nan_rejected(self):
         values = np.array([[0.0], [math.nan]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"grid point \(1,\) not marked"):
             ScanTable(
                 axes=("x",), coords=(np.array([0.0, 1.0]),), columns=("y",),
                 values=values,
@@ -219,6 +305,12 @@ class TestScanTableValidation:
             values=values, gaps=((1,),),
         )
         assert "degenerate" in table.to_csv()
+        # On a 2-D grid the first unmarked point is named, not a marked one.
+        grid = np.zeros((2, 2, 1))
+        grid[0, 1, 0] = grid[1, 0, 0] = grid[1, 1, 0] = math.nan
+        with pytest.raises(ValueError, match=r"grid point \(1, 0\) not marked"):
+            ScanTable(axes=("x", "y"), coords=(np.arange(2.0), np.arange(2.0)), columns=("z",),
+                      values=grid, gaps=((0, 1),))
 
 
 class TestMaximizeChsh:

@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from relbell.bell import STANDARD_SETTINGS
 from relbell.cli import main
+from relbell.kinematics import BeamVelocity, alpha_vector
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
@@ -147,6 +149,21 @@ class TestFigureTables:
         # theta = 0: motion normal to the settings plane, bound preserved.
         assert abs(float(first[2]) + TWO_SQRT_TWO) < 1e-12
         assert abs(float(first[3]) + TWO_SQRT_TWO) < 1e-12
+
+    @pytest.mark.parametrize("grid", [21, 33])
+    def test_fig2_at_light_speed_gaps_follow_alpha(self, capsys, grid):
+        code, out, err = run(capsys, "fig2", "--grid", str(grid), "--beta-mag", "1.0")
+        assert code == 0, err
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == grid * grid
+        for row in rows:
+            theta, phi = float(row[0]), float(row[1])
+            n = np.array([math.cos(phi) * math.sin(theta), math.sin(phi) * math.sin(theta),
+                          math.cos(theta)])
+            bv = BeamVelocity(beta=n, magnitude=1.0, direction=n)
+            gap = any(np.linalg.norm(alpha_vector(axis, bv)) <= 1e-12
+                      for _, axis in STANDARD_SETTINGS.labeled())
+            assert (row[2] == "degenerate") == gap, row
 
     def test_fig3_runs_and_is_deterministic(self, capsys):
         code, first, _ = run(capsys, "fig3", "--grid", "4")

@@ -52,6 +52,7 @@ from .bell import (
     STANDARD_SETTINGS,
     ChshSettings,
     ScanTable,
+    calibrated_settings,
     chsh_batch,
     chsh_value,
     maximize_chsh,

@@ -20,6 +20,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,22 +174,31 @@ class AuditReport:
         return render_json(self.to_json_dict()) + "\n"
 
 
+# Dict keys repeat across records (every audit sample has the same five),
+# so their JSON quoting is cached.
+_json_key = lru_cache(maxsize=256)(json.dumps)
+
+
 def render_json(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits (full double
     precision), so reports round-trip bit-exactly."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, list, tuple)):
         if not obj:
-            return "{}"
-        items = (f'{inner}{json.dumps(key)}: {render_json(val, indent + 1)}'
-                 for key, val in obj.items())
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (f"{inner}{render_json(val, indent + 1)}" for val in obj)
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+            return "{}" if isinstance(obj, dict) else "[]"
+        pad = "  " * indent
+        sep = ",\n" + pad + "  "
+        # Floats, nearly every value in a report, are formatted in place
+        # rather than through a recursive call each; the result is one
+        # f-string, so no partial copies of a large body pile up.
+        if isinstance(obj, dict):
+            body = sep.join([
+                f"{_json_key(key)}: {val:.17g}" if type(val) is float
+                else f"{_json_key(key)}: {render_json(val, indent + 1)}"
+                for key, val in obj.items()])
+            return f"{{\n{pad}  {body}\n{pad}}}"
+        body = sep.join([f"{val:.17g}" if type(val) is float else render_json(val, indent + 1)
+                         for val in obj])
+        return f"[\n{pad}  {body}\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
@@ -218,8 +228,5 @@ def audit(dist: VelocityDistribution, settings: ChshSettings,
         degradation=abs(ideal) - abs(expected),
         alarm_threshold=threshold,
         verdict=FALSE_ALARM_RISK if abs(expected) < threshold else NO_ALARM,
-        samples=tuple(
-            (tuple(float(x) for x in dist.betas[k]), float(dist.weights[k]), float(values[k]))
-            for k in range(len(dist))
-        ),
+        samples=tuple(zip(zip(*dist.betas.T.tolist()), dist.weights.tolist(), values.tolist())),
     )

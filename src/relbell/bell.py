@@ -13,7 +13,11 @@ suppresses |c|, and an apparatus calibrated at rest will underreport the
 correlation. ``chsh_batch`` evaluates the combination over whole
 batches of velocities; ``chsh_value`` and the scan helpers, which
 tabulate the suppression over velocity grids, run through it.
-``maximize_chsh`` searches for the best settings at a fixed velocity.
+Since E(a, b, beta) = -alpha_hat(a) . alpha_hat(b) with a map alpha_hat
+that is invertible below light speed, the best settings at a fixed
+velocity have a closed form: ``calibrated_settings`` computes them and
+``maximize_chsh`` returns them with their |c|, 2 sqrt(2) at every
+|beta| < 1.
 """
 
 from __future__ import annotations
@@ -289,104 +293,64 @@ def proper_time_comparison(beta_grid) -> ScanTable:
     )
 
 
-def _angles_of(settings: ChshSettings) -> np.ndarray:
-    out = []
-    for _, axis in settings.labeled():
-        out.append(math.acos(max(-1.0, min(1.0, axis[2]))))
-        out.append(math.atan2(axis[1], axis[0]) % (2.0 * math.pi))
-    return np.array(out)
+def calibrated_settings(beta, initial: ChshSettings | None = None) -> ChshSettings:
+    """Settings that reach |c| = 2 sqrt(2) at velocity beta, in closed form.
+
+    The correlation is E(a, b, beta) = -alpha_hat(a) . alpha_hat(b), and
+    for |beta| < 1 the map a -> alpha_hat(a) is a bijection of the
+    sphere. So for any orthogonal R the standard settings S turned by R,
+    pulled back axis by axis through the inverse map
+
+        s -> normalize(s_perp / sqrt((1 - beta)(1 + beta)) + s_par),
+
+    give deformed axes R S and hence the rest-frame optimum (Tsirelson's
+    bound). R is the identity or, given ``initial``, the orthogonal
+    matrix that best maps S onto the deformed axes alpha_hat(initial)
+    (a Procrustes fit by one 3x3 SVD), so that a recalibration keeps the
+    deformed axes as close to the old ones as the bound allows. At
+    |beta| = 1 there is no inverse and each outcome is the sign of n.a;
+    every axis along the motion direction n then gives |c| = 2, the
+    optimum at light speed, and ``initial`` is ignored.
+    """
+    bv = BeamVelocity.of(beta)
+    n = bv.direction
+    if bv.magnitude >= 1.0:
+        return ChshSettings(n.copy(), n.copy(), n.copy(), n.copy())
+    # (1 - |beta|)(1 + |beta|) keeps full relative precision near light
+    # speed, where 1 - |beta|^2 from a rounded square does not; the forward
+    # map below uses it too (rather than alpha_vector) so that a warm start
+    # from calibrated settings returns them to 1e-12.
+    shrink = math.sqrt((1.0 - bv.magnitude) * (1.0 + bv.magnitude))
+    target = STANDARD_SETTINGS.axes
+    if initial is not None:
+        axes = initial.axes
+        par = np.outer(axes @ n, n)
+        deformed = shrink * (axes - par) + par
+        deformed /= np.linalg.norm(deformed, axis=1, keepdims=True)
+        u, _, vt = np.linalg.svd(deformed.T @ target)
+        target = target @ (u @ vt).T
+    par = np.outer(target @ n, n)
+    axes = (target - par) / shrink + par
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return ChshSettings(*axes)
 
 
-def _settings_of(angles) -> ChshSettings:
-    axes = []
-    for k in range(4):
-        th, phi = angles[2 * k], angles[2 * k + 1]
-        axes.append(np.array([
-            math.sin(th) * math.cos(phi),
-            math.sin(th) * math.sin(phi),
-            math.cos(th),
-        ]))
-    return ChshSettings(a=axes[0], a_prime=axes[1], b=axes[2], b_prime=axes[3])
+def maximize_chsh(beta, restarts: int = 8, initial: ChshSettings | None = None,
+                  trace: list | None = None):
+    """The best settings at a fixed velocity and their |c|.
 
-
-def maximize_chsh(beta, restarts: int = 8, tol: float = 1e-9, seed: int = 0,
-                  initial: ChshSettings | None = None, trace: list | None = None):
-    """Search for settings maximizing |c| at a fixed velocity.
-
-    Deterministic multi-start search over the eight spherical angles of
-    the four axes: a cyclic 12-point per-angle grid sweep, then
-    coordinate descent with step halving until the step falls below
-    ``tol``. The first start is ``initial`` when given, then the standard
-    settings, then seeded random angle vectors, ``restarts`` starts in
-    total. Within a start every accepted value is an improvement, so the
-    result is never below the best coarse-grid value. ``trace``, when
-    supplied, collects (start_index, stage, value) tuples with stage in
-    "coarse" or "refine" for each accepted state. Returns (settings, |c|).
-
-    Degenerate corners score zero during the search and cannot win.
-    This is an exploratory tool: it reports the best settings found, not
-    a certified global optimum.
+    The settings are ``calibrated_settings(beta, initial)``, computed
+    rather than searched for: |c| is 2 sqrt(2) to rounding at every
+    |beta| < 1 and exactly 2, the optimum there, at |beta| = 1.
+    ``restarts`` must be at least 1; the closed form needs no search
+    starts, so it has no other effect. ``trace``, when supplied, collects
+    one (0, "closed_form", |c|) tuple. Returns (settings, |c|), with |c|
+    exactly ``abs(chsh_value(settings, beta))``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    bv = BeamVelocity.of(beta)
-
-    def objective(angles) -> float:
-        try:
-            return abs(chsh_value(_settings_of(angles), bv))
-        except DegenerateObservable:
-            return 0.0
-
-    starts = []
-    if initial is not None:
-        starts.append(_angles_of(initial))
-    starts.append(_angles_of(STANDARD_SETTINGS))
-    rng = np.random.default_rng(seed)
-    while len(starts) < restarts:
-        starts.append(rng.uniform(0.0, 2.0 * math.pi, size=8))
-    starts = starts[:restarts]
-
-    theta_grid = np.linspace(0.0, math.pi, 12)
-    phi_grid = np.linspace(0.0, 2.0 * math.pi, 13)[:12]
-    coarse_step = math.pi / 11.0
-
-    best_angles, best_value = None, -1.0
-    for index, start in enumerate(starts):
-        angles = np.array(start, dtype=float)
-        value = objective(angles)
-        if trace is not None:
-            trace.append((index, "coarse", value))
-        # Cyclic coarse grid sweeps until a full pass stalls.
-        improved = True
-        while improved:
-            improved = False
-            for k in range(8):
-                grid = theta_grid if k % 2 == 0 else phi_grid
-                for candidate in grid:
-                    trial = angles.copy()
-                    trial[k] = candidate
-                    trial_value = objective(trial)
-                    if trial_value > value:
-                        angles, value = trial, trial_value
-                        improved = True
-                        if trace is not None:
-                            trace.append((index, "coarse", value))
-        # Coordinate descent with step halving.
-        step = coarse_step
-        while step >= tol:
-            moved = False
-            for k in range(8):
-                for sign in (1.0, -1.0):
-                    trial = angles.copy()
-                    trial[k] += sign * step
-                    trial_value = objective(trial)
-                    if trial_value > value:
-                        angles, value = trial, trial_value
-                        moved = True
-                        if trace is not None:
-                            trace.append((index, "refine", value))
-            if not moved:
-                step /= 2.0
-        if value > best_value:
-            best_angles, best_value = angles, value
-    return _settings_of(best_angles), best_value
+    settings = calibrated_settings(beta, initial)
+    value = abs(chsh_value(settings, beta))
+    if trace is not None:
+        trace.append((0, "closed_form", value))
+    return settings, value

@@ -9,7 +9,7 @@ where a_par and a_perp are the components of the unit analyzer direction a
 parallel and orthogonal to the direction of motion n = beta/|beta|. Its
 length
 
-    |alpha| = sqrt(1 + (beta . a)^2 - beta^2)
+    |alpha| = sqrt((1 - beta^2) + beta^2 (n . a)^2)
 
 sets the spectrum of the center-of-mass spin projection: for spin j the
 eigenvalues are j3 * |alpha| with j3 = -j ... +j. At beta = 0 the axis is
@@ -125,13 +125,16 @@ def alpha_vector(a, beta) -> np.ndarray:
 
 
 def alpha_norm(a, beta) -> float:
-    """|alpha(a, beta)| from the closed form sqrt(1 + (beta . a)^2 - beta^2)."""
+    """|alpha(a, beta)| from the closed form sqrt((1 - beta^2) + beta^2 (n.a)^2).
+
+    Both terms are non-negative, so nothing cancels: at |beta| = 1 the
+    length is |n.a| to full relative precision.
+    """
     a = check_unit(a, "analyzer axis")
     bv = BeamVelocity.of(beta)
-    ba = float(np.dot(bv.beta, a))
-    val = 1.0 + ba * ba - bv.magnitude**2
-    # Guard tiny negative rounding at |beta| = 1 with a orthogonal to n.
-    return math.sqrt(val) if val > 0.0 else 0.0
+    b2 = bv.magnitude**2
+    na = float(np.dot(bv.direction, a))
+    return math.sqrt((1.0 - b2) + b2 * (na * na))
 
 
 def spin_eigenvalues(a, beta, j: float = 0.5) -> SpinProjectionSpectrum:

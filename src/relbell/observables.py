@@ -13,9 +13,9 @@ with the deformed axis alpha from :mod:`relbell.kinematics`. In the
 zero-helicity singlet the correlation of the two outcomes has the closed
 form
 
-    E(a, b, beta) = - (a . b - beta^2 a_perp . b_perp)
-                    / sqrt(1 + beta^2 ((n.a)^2 - 1))
-                    / sqrt(1 + beta^2 ((n.b)^2 - 1)),
+    E(a, b, beta) = - ((1 - beta^2) a . b + beta^2 (n.a)(n.b))
+                    / sqrt((1 - beta^2) + beta^2 (n.a)^2)
+                    / sqrt((1 - beta^2) + beta^2 (n.b)^2),
 
 which interpolates between the rest-frame value -a . b and the
 ultrarelativistic limit -sign(n.a) sign(n.b).
@@ -134,15 +134,14 @@ def eprb_closed_form(a, b, beta) -> float:
     b2 = bv.magnitude**2
     na = float(np.dot(n, a))
     nb = float(np.dot(n, b))
-    len2_a = 1.0 + b2 * (na * na - 1.0)
-    len2_b = 1.0 + b2 * (nb * nb - 1.0)
+    # Sums of non-negative terms, exact at rest and at light speed.
+    len2_a = (1.0 - b2) + b2 * (na * na)
+    len2_b = (1.0 - b2) + b2 * (nb * nb)
     if len2_a <= DEGENERACY_THRESHOLD**2:
         raise DegenerateObservable(f"axis a = {tuple(a)} degenerate at |beta| = {bv.magnitude!r}")
     if len2_b <= DEGENERACY_THRESHOLD**2:
         raise DegenerateObservable(f"axis b = {tuple(b)} degenerate at |beta| = {bv.magnitude!r}")
-    ab = float(np.dot(a, b))
-    # a_perp . b_perp = a . b - (n . a)(n . b)
-    numerator = ab - b2 * (ab - na * nb)
+    numerator = (1.0 - b2) * float(np.dot(a, b)) + b2 * (na * nb)
     return -numerator / (math.sqrt(len2_a) * math.sqrt(len2_b))
 
 

@@ -232,3 +232,44 @@ class TestJsonRendering:
         parsed = json.loads(text)
         assert parsed == {"a": [1.0, 2.0], "b": {"c": True}}
         assert text.startswith("{\n  ")
+
+    def test_report_bytes_match_the_recursive_renderer(self):
+        # A seeded 1000-sample report, with every sample a numpy scalar
+        # read cell by cell and every value rendered by one recursive call
+        # each, as the report was first built, must give the same bytes.
+        rng = np.random.default_rng(1000)
+        betas = [random_beta(rng, 0.999) for _ in range(1000)]
+        dist = VelocityDistribution.from_samples(betas, rng.uniform(0.1, 1.0, size=1000))
+        report = audit(dist, STANDARD_SETTINGS)
+        values = per_sample_chsh(dist, STANDARD_SETTINGS)
+        assert report.samples == tuple(
+            (tuple(float(x) for x in dist.betas[k]), float(dist.weights[k]), float(values[k]))
+            for k in range(len(dist)))
+        doc = report.to_json_dict()
+        doc["nested"] = [[1, True, None, "s"], {"k": (), "z": {}}, np.float64(0.1)]
+        assert render_json(doc) == recursive_render_json(doc)
+        assert report.to_json() == recursive_render_json(report.to_json_dict()) + "\n"
+
+
+def recursive_render_json(obj, indent=0):
+    """The report renderer as first written: one recursive call per value."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f'{inner}{json.dumps(key)}: {recursive_render_json(val, indent + 1)}'
+                 for key, val in obj.items())
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = (f"{inner}{recursive_render_json(val, indent + 1)}" for val in obj)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    return json.dumps(obj)

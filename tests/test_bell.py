@@ -1,9 +1,11 @@
-"""Tests for CHSH combinations, velocity scans, and the settings search."""
+"""Tests for CHSH combinations, velocity scans, and the settings calibration."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_direction, unit
@@ -11,6 +13,7 @@ from relbell.bell import (
     STANDARD_SETTINGS,
     ChshSettings,
     ScanTable,
+    calibrated_settings,
     chsh_batch,
     chsh_value,
     maximize_chsh,
@@ -20,7 +23,7 @@ from relbell.bell import (
 )
 from relbell.errors import DegenerateObservable, EmptyGrid
 from relbell.kinematics import BeamVelocity, alpha_norm
-from relbell.observables import DEGENERACY_THRESHOLD, eprb_oracle
+from relbell.observables import DEGENERACY_THRESHOLD, eprb_closed_form, eprb_oracle
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)  # 2.8284271247461903
 
@@ -140,14 +143,25 @@ class TestChshBatch:
         assert values == math.fsum([-0.6, -0.28, -0.8, 0.96]) == -0.7200000000000001
 
     def test_light_speed_degeneracy_without_cancellation(self):
-        # At |beta| = 1 along x, |alpha(b)| = |n.b| = 2e-12 stays above the
-        # 1e-12 threshold; 1 + beta^2 ((n.b)^2 - 1) would cancel to 0.
-        tilt = 2e-12
-        axes = STANDARD_SETTINGS.axes
-        axes[2] = [tilt, math.sqrt(1.0 - tilt * tilt), 0.0]
-        values, degenerate = chsh_batch(axes, 1.0, [1.0, 0.0, 0.0])
-        assert not degenerate.any()
-        assert values == -2.0
+        # At |beta| = 1 along x, |alpha(b)| = |n.b| = tilt, on either side
+        # of the 1e-12 threshold; 1 + beta^2 ((n.b)^2 - 1) would cancel to
+        # 0. Every route must agree on whether b is degenerate.
+        x = np.array([1.0, 0.0, 0.0])
+        for tilt, collapsed in ((2e-12, False), (5e-13, True)):
+            axes = STANDARD_SETTINGS.axes
+            axes[2] = [tilt, math.sqrt(1.0 - tilt * tilt), 0.0]
+            tilted = ChshSettings(*axes)
+            assert_allclose(alpha_norm(axes[2], x), tilt, rtol=1e-15, atol=0.0)
+            values, degenerate = chsh_batch(axes, 1.0, x)
+            assert list(degenerate) == [False, False, collapsed, False]
+            if collapsed:
+                with pytest.raises(DegenerateObservable, match="axis b"):
+                    eprb_closed_form(axes[0], axes[2], x)
+                with pytest.raises(DegenerateObservable, match="setting b "):
+                    chsh_value(tilted, x)
+            else:
+                assert eprb_closed_form(axes[0], axes[2], x) == -1.0
+                assert values == chsh_value(tilted, x) == -2.0
 
     def test_batch_shapes_broadcast(self):
         speeds = np.array([0.0, 0.5, 0.9])
@@ -316,36 +330,33 @@ class TestScanTableValidation:
 class TestMaximizeChsh:
     def test_rest_recovers_quantum_bound(self):
         settings, value = maximize_chsh(REST, restarts=2)
-        assert abs(value - TWO_SQRT_TWO) < 1e-6
-        assert abs(abs(chsh_value(settings, REST)) - value) < 1e-12
+        assert abs(value - TWO_SQRT_TWO) < 1e-12
+        assert abs(chsh_value(settings, REST)) == value
 
     def test_moving_pair_bound_recoverable_with_adapted_settings(self):
         # In-plane motion suppresses the standard settings to ~2.26, but
-        # the search finds rotated settings that restore the full bound:
-        # the suppression is a calibration artifact, not a physical cap.
+        # settings adapted to the motion restore the full bound: the
+        # suppression is a calibration artifact, not a physical cap.
         beta = np.array([0.99, 0.0, 0.0])
         standard = abs(chsh_value(STANDARD_SETTINGS, beta))
         settings, value = maximize_chsh(beta, restarts=3)
         assert standard < 2.3
-        assert value > TWO_SQRT_TWO - 1e-6
-        assert value <= TWO_SQRT_TWO + 1e-9
-        assert_allclose(value, 2.828427124746199, atol=1e-9)
+        assert value > TWO_SQRT_TWO - 1e-12
+        assert value <= TWO_SQRT_TWO + 1e-12
+        assert_allclose(value, 2.828427124746199, atol=1e-12)
 
     def test_initial_settings_are_honored(self):
+        # Motion normal to the settings plane leaves the standard settings
+        # optimal, so a start from them returns them.
         beta = np.array([0.0, 0.0, 0.99])
         settings, value = maximize_chsh(beta, restarts=1, initial=STANDARD_SETTINGS)
-        assert abs(value - 2.8284271247461894) < 1e-9
+        assert abs(value - 2.8284271247461894) < 1e-12
+        assert_allclose(settings.axes, STANDARD_SETTINGS.axes, rtol=0.0, atol=1e-12)
 
-    def test_trace_is_monotone_per_start(self):
+    def test_trace_records_the_closed_form(self):
         trace = []
-        maximize_chsh(in_plane(0.9, 0.3), restarts=2, trace=trace)
-        assert trace
-        by_start = {}
-        for start, stage, value in trace:
-            assert stage in ("coarse", "refine")
-            if start in by_start:
-                assert value >= by_start[start]
-            by_start[start] = value
+        _, value = maximize_chsh(in_plane(0.9, 0.3), restarts=2, trace=trace)
+        assert trace == [(0, "closed_form", value)]
 
     def test_deterministic(self):
         beta = in_plane(0.7, 1.1)
@@ -358,3 +369,68 @@ class TestMaximizeChsh:
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError):
             maximize_chsh(REST, restarts=0)
+
+
+velocities = st.builds(
+    lambda speed, seed: speed * random_direction(np.random.default_rng(seed)),
+    speed=st.floats(min_value=0.0, max_value=1.0 - 1e-6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def deformed_gram(calibrated, beta):
+    """Gram matrix of the normalized deformed axes alpha_hat of some settings.
+
+    The transverse factor is sqrt((1 - beta)(1 + beta)): alpha_vector's
+    sqrt(1 - beta^2) is off by ~1e-10 relative at 1 - |beta| = 1e-6,
+    which would move this Gram matrix by ~4e-12.
+    """
+    bv = BeamVelocity.of(beta)
+    n = bv.direction
+    par = np.outer(calibrated.axes @ n, n)
+    alpha = math.sqrt((1.0 - bv.magnitude) * (1.0 + bv.magnitude)) * (calibrated.axes - par) + par
+    hats = alpha / np.linalg.norm(alpha, axis=1, keepdims=True)
+    return hats @ hats.T
+
+
+class TestCalibratedSettings:
+    @settings(max_examples=200, deadline=None)
+    @given(beta=velocities)
+    def test_reaches_the_bound(self, beta):
+        calibrated, value = maximize_chsh(beta)
+        assert abs(value - TWO_SQRT_TWO) <= 1e-12
+        assert value == abs(chsh_value(calibrated, beta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta=velocities)
+    def test_deformed_axes_are_an_orthogonal_image_of_the_standard_settings(self, beta):
+        gram = deformed_gram(calibrated_settings(beta), beta)
+        standard = STANDARD_SETTINGS.axes @ STANDARD_SETTINGS.axes.T
+        assert np.max(np.abs(gram - standard)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta=velocities)
+    def test_warm_start_from_the_result_returns_it(self, beta):
+        first = maximize_chsh(beta)[0]
+        again = maximize_chsh(beta, initial=first)[0]
+        assert np.max(np.abs(again.axes - first.axes)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_warm_start_at_rest_keeps_turned_optimal_settings(self, seed):
+        # Any orthogonal image of the standard settings (reflections too)
+        # is optimal at rest, and the Procrustes fit keeps it.
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        turned = ChshSettings(*(STANDARD_SETTINGS.axes @ q.T))
+        result = calibrated_settings(REST, initial=turned)
+        assert np.max(np.abs(result.axes - turned.axes)) <= 1e-12
+
+    def test_light_speed_reaches_the_classical_optimum(self, rng):
+        for beta in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]):
+            calibrated, value = maximize_chsh(np.array(beta), initial=STANDARD_SETTINGS)
+            assert value == 2.0
+            assert all(np.array_equal(axis, beta) for axis in calibrated.axes)
+        for _ in range(20):
+            n = random_direction(rng)
+            luminal = BeamVelocity(beta=n, magnitude=1.0, direction=n)
+            assert abs(maximize_chsh(luminal)[1] - 2.0) <= 1e-15

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_beta, random_direction, unit
 from relbell.errors import DegenerateObservable
+from relbell.kinematics import alpha_vector
 from relbell.linalg import ID2, dagger, herm_eig, kron, max_abs, pauli_dot
 from relbell.observables import (
     eprb_closed_form,
@@ -161,6 +162,16 @@ class TestClosedForm:
             beta = random_beta(rng)
             assert abs(eprb_closed_form(a, a, beta) + 1.0) < 1e-12
             assert abs(eprb_closed_form(a, -a, beta) - 1.0) < 1e-12
+
+    def test_equals_minus_the_dot_product_of_deformed_axes(self, rng):
+        # E(a, b, beta) = -alpha_hat(a) . alpha_hat(b): the identity behind
+        # the closed-form CHSH calibration.
+        for _ in range(500):
+            a = random_direction(rng)
+            b = random_direction(rng)
+            beta = random_beta(rng)
+            expected = -np.dot(unit(alpha_vector(a, beta)), unit(alpha_vector(b, beta)))
+            assert abs(eprb_closed_form(a, b, beta) - expected) <= 1e-14
 
     @settings(max_examples=150, deadline=None)
     @given(a=directions, b=directions, beta=betas)

@@ -21,12 +21,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .bell import ChshSettings, chsh_batch, chsh_value
 from .errors import DegenerateObservable, EmptyDistribution, ParseError, SuperluminalSample
-from .kinematics import Z_AXIS
+from .kinematics import Z_AXIS, speeds
 
 NO_ALARM = "NoAlarm"
 FALSE_ALARM_RISK = "FalseAlarmRisk"
@@ -55,12 +56,12 @@ class VelocityDistribution:
             raise ValueError("one weight per velocity sample required")
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be positive and finite")
-        mags = np.linalg.norm(betas, axis=1)
+        mags = speeds(betas)
         bad = np.flatnonzero(mags >= 1.0)
         if bad.size:
             k = int(bad[0])
             raise SuperluminalSample(
-                f"sample {k} has |beta| = {float(mags[k])!r} >= 1: {tuple(betas[k])}"
+                f"sample {k} has |beta| = {float(mags[k])!r} >= 1: {tuple(betas[k].tolist())}"
             )
         return cls(betas=betas, weights=weights / math.fsum(weights.tolist()))
 
@@ -71,34 +72,51 @@ def load_distribution(text: str) -> VelocityDistribution:
     Errors carry 1-based line numbers: ParseError for a bad header, a
     malformed number, a wrong column count, or a non-positive weight;
     SuperluminalSample for |beta| >= 1; EmptyDistribution when no data
-    rows remain.
+    rows remain. Line numbers count CSV records, blank ones included.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [(k + 1, row) for k, row in enumerate(rows) if row]
-    if not rows:
+    records = list(csv.reader(io.StringIO(text)))
+    first = next((k for k, row in enumerate(records) if row), None)
+    if first is None:
         raise EmptyDistribution("distribution text is empty")
-    line, header = rows[0]
-    if tuple(cell.strip() for cell in header) != _HEADER:
-        raise ParseError(f"line {line}: header must be {','.join(_HEADER)!r}")
-    betas, weights = [], []
-    for line, row in rows[1:]:
-        if len(row) != 4:
-            raise ParseError(f"line {line}: expected 4 fields, got {len(row)}")
-        try:
-            vals = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise ParseError(f"line {line}: {exc}") from exc
-        if not all(math.isfinite(v) for v in vals):
-            raise ParseError(f"line {line}: non-finite value")
-        if vals[3] <= 0.0:
-            raise ParseError(f"line {line}: weight must be positive, got {vals[3]!r}")
-        if math.hypot(vals[0], vals[1], vals[2]) >= 1.0:
-            raise SuperluminalSample(f"line {line}: |beta| >= 1 in sample {tuple(vals[:3])}")
-        betas.append(vals[:3])
-        weights.append(vals[3])
-    if not betas:
+    if tuple(cell.strip() for cell in records[first]) != _HEADER:
+        raise ParseError(f"line {first + 1}: header must be {','.join(_HEADER)!r}")
+    body = records[first + 1:]
+    fields = set(map(len, body)) - {0}
+    if not fields:
         raise EmptyDistribution("distribution has a header but no samples")
-    return VelocityDistribution.from_samples(betas, weights)
+    # All cells go through one map(float) into an (n, 4) array and are
+    # checked at once; only input that fails walks the rows, to name the
+    # first offending line.
+    if fields == {4}:
+        try:
+            cells = np.fromiter(map(float, chain.from_iterable(body)), dtype=float).reshape(-1, 4)
+        except ValueError:  # a cell is not a number
+            cells = None
+        if cells is not None:
+            betas = np.ascontiguousarray(cells[:, :3])
+            weights = cells[:, 3]
+            if np.isfinite(cells).all() and (weights > 0.0).all() and (speeds(betas) < 1.0).all():
+                return VelocityDistribution.from_samples(betas, weights)
+    for line, row in enumerate(body, first + 2):
+        if row:
+            _check_row(line, row)
+    raise AssertionError("the batch check failed but every row passes")
+
+
+def _check_row(line: int, row: list) -> None:
+    """Raise the error for one CSV data row at a 1-based line."""
+    if len(row) != 4:
+        raise ParseError(f"line {line}: expected 4 fields, got {len(row)}")
+    try:
+        vals = [float(cell) for cell in row]
+    except ValueError as exc:
+        raise ParseError(f"line {line}: {exc}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ParseError(f"line {line}: non-finite value")
+    if vals[3] <= 0.0:
+        raise ParseError(f"line {line}: weight must be positive, got {vals[3]!r}")
+    if speeds(vals[:3]) >= 1.0:
+        raise SuperluminalSample(f"line {line}: |beta| >= 1 in sample {tuple(vals[:3])}")
 
 
 def per_sample_chsh(dist: VelocityDistribution, settings: ChshSettings) -> np.ndarray:
@@ -107,7 +125,7 @@ def per_sample_chsh(dist: VelocityDistribution, settings: ChshSettings) -> np.nd
     A degenerate sample (only possible at |beta| = 1, which the loader
     already rejects) is reported with its index.
     """
-    speed = np.sqrt(np.einsum("ij,ij->i", dist.betas, dist.betas))
+    speed = speeds(dist.betas)
     moving = speed > 0.0
     direction = np.tile(Z_AXIS, (len(dist), 1))
     direction[moving] = dist.betas[moving] / speed[moving, None]
@@ -150,19 +168,44 @@ class AuditReport:
     samples: tuple
 
     def to_json_dict(self) -> dict:
+        return self._document([
+            {
+                "beta_x": beta[0], "beta_y": beta[1], "beta_z": beta[2],
+                "weight": weight, "chsh": value,
+            }
+            for beta, weight, value in self.samples
+        ])
+
+    def to_json(self) -> str:
+        """``render_json(self.to_json_dict())`` and a newline, byte for byte.
+
+        ``render_json`` lays out the report with an empty sample list; the
+        samples, five floats each at one depth, fill one fixed template
+        block by block, and the pieces are joined once.
+        """
+        text = render_json(self._document([])) + "\n"
+        if not self.samples:
+            return text
+        head, _, tail = text.partition('"samples": []')
+        sep = ",\n    "
+        parts = [head, '"samples": [\n    ']
+        for start in range(0, len(self.samples), _JSON_BLOCK_SAMPLES):
+            if start:
+                parts.append(sep)
+            parts.append(sep.join([
+                _SAMPLE_JSON % (beta[0], beta[1], beta[2], weight, value)
+                for beta, weight, value in self.samples[start:start + _JSON_BLOCK_SAMPLES]]))
+        parts += ["\n  ]", tail]
+        return "".join(parts)
+
+    def _document(self, samples) -> dict:
         return {
             "expected_chsh": self.expected_chsh,
             "ideal_chsh": self.ideal_chsh,
             "degradation": self.degradation,
             "alarm_threshold": self.alarm_threshold,
             "verdict": self.verdict,
-            "samples": [
-                {
-                    "beta_x": beta[0], "beta_y": beta[1], "beta_z": beta[2],
-                    "weight": weight, "chsh": value,
-                }
-                for beta, weight, value in self.samples
-            ],
+            "samples": samples,
             "metadata": {
                 "threshold_semantics":
                     "alarm_threshold is an operator-chosen margin on |expected_chsh|,"
@@ -170,8 +213,13 @@ class AuditReport:
             },
         }
 
-    def to_json(self) -> str:
-        return render_json(self.to_json_dict()) + "\n"
+
+# One audit sample as render_json lays it out in a report, an item of the
+# "samples" list two levels down; AuditReport.to_json fills it in blocks of
+# samples, which bounds the memory of the per-sample strings.
+_SAMPLE_JSON = ('{\n      "beta_x": %.17g,\n      "beta_y": %.17g,\n      "beta_z": %.17g,\n'
+                '      "weight": %.17g,\n      "chsh": %.17g\n    }')
+_JSON_BLOCK_SAMPLES = 1 << 12
 
 
 # Dict keys repeat across records (every audit sample has the same five),

@@ -39,6 +39,9 @@ _SQ2 = math.sqrt(0.5)
 _LABELS = ("a", "a_prime", "b", "b_prime")
 # Signs of -E in the CHSH terms, as a (a, a') x (b, b') table.
 _TERM_SIGNS = np.array([[-1.0, -1.0], [-1.0, 1.0]])
+# Rows that ScanTable.to_csv formats at once; bounds the memory its cell
+# strings take on large grids.
+_CSV_BLOCK_ROWS = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,17 +201,33 @@ class ScanTable:
             raise ValueError(f"non-finite value at grid point {idx} not marked as a gap")
 
     def to_csv(self) -> str:
+        shape = self.values.shape[:-1]
+        rows = math.prod(shape)
         lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         lines.append(",".join(self.axes + self.columns))
-        gapset = set(self.gaps)
-        for idx in np.ndindex(*self.values.shape[:-1]):
-            cells = [repr(float(self.coords[d][i])) for d, i in enumerate(idx)]
-            if idx in gapset:
-                cells.extend("degenerate" for _ in self.columns)
-            else:
-                cells.extend(repr(float(v)) for v in self.values[idx])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        parts = ["\n".join(lines), "\n"]
+        # Column at a time: each grid coordinate and each value is repr'd
+        # once, gap rows are overwritten, and the rows are the zipped
+        # columns joined, a block of rows at a time.
+        coord_text = [np.array(list(map(repr, np.asarray(c, dtype=float).tolist())), dtype=object)
+                      for c in self.coords]
+        strides = [math.prod(shape[d + 1:]) for d in range(len(shape))]
+        values = np.asarray(self.values, dtype=float).reshape(rows, len(self.columns))
+        gap = np.zeros(shape, dtype=bool)
+        if self.gaps:
+            gap[tuple(np.array(self.gaps).T)] = True
+        gap = gap.reshape(rows)
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, rows)
+            index = np.arange(start, stop)
+            cols = [text[(index // stride) % len(text)].tolist()
+                    for text, stride in zip(coord_text, strides)]
+            cols += [list(map(repr, col)) for col in values[start:stop].T.tolist()]
+            for k in np.flatnonzero(gap[start:stop]).tolist():
+                for col in cols[len(shape):]:
+                    col[k] = "degenerate"
+            parts += ["\n".join(map(",".join, zip(*cols))), "\n"]
+        return "".join(parts)
 
 
 def _chsh_table(settings: ChshSettings, axes, coords, columns, speed, direction,
@@ -318,8 +337,8 @@ def calibrated_settings(beta, initial: ChshSettings | None = None) -> ChshSettin
         return ChshSettings(n.copy(), n.copy(), n.copy(), n.copy())
     # (1 - |beta|)(1 + |beta|) keeps full relative precision near light
     # speed, where 1 - |beta|^2 from a rounded square does not; the forward
-    # map below uses it too (rather than alpha_vector) so that a warm start
-    # from calibrated settings returns them to 1e-12.
+    # map below, like alpha_vector, uses it too, so that a warm start from
+    # calibrated settings returns them to 1e-12.
     shrink = math.sqrt((1.0 - bv.magnitude) * (1.0 + bv.magnitude))
     target = STANDARD_SETTINGS.axes
     if initial is not None:

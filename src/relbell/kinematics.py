@@ -52,6 +52,18 @@ def check_unit(v, name: str = "direction") -> np.ndarray:
     return v
 
 
+def speeds(betas) -> np.ndarray:
+    """|beta| of each velocity in a (..., 3) array.
+
+    The one speed that the distribution loader, ``VelocityDistribution``
+    and ``audit.per_sample_chsh`` all compute, so a sample accepted as
+    slower than light reaches the kernel at exactly the speed that was
+    checked. The result for a row does not depend on the other rows.
+    """
+    betas = np.asarray(betas, dtype=float)
+    return np.sqrt(np.einsum("...j,...j->...", betas, betas))
+
+
 @dataclass(frozen=True, eq=False)
 class BeamVelocity:
     """A particle velocity in units of c, with its derived quantities.
@@ -121,7 +133,9 @@ def alpha_vector(a, beta) -> np.ndarray:
     if bv.magnitude == 0.0:
         return a.copy()
     a_par, a_perp = decompose(a, bv.direction)
-    return math.sqrt(1.0 - bv.magnitude**2) * a_perp + a_par
+    # (1 - |beta|)(1 + |beta|) keeps full relative precision near light
+    # speed, where 1 - |beta|^2 from a rounded square does not.
+    return math.sqrt((1.0 - bv.magnitude) * (1.0 + bv.magnitude)) * a_perp + a_par
 
 
 def alpha_norm(a, beta) -> float:

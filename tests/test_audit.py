@@ -1,10 +1,17 @@
 """Tests for velocity-distribution loading and the false-alarm audit."""
 
+import csv
+import importlib
+import io
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_beta
@@ -18,8 +25,12 @@ from relbell.audit import (
     per_sample_chsh,
     render_json,
 )
-from relbell.bell import STANDARD_SETTINGS, chsh_value
+from relbell.bell import STANDARD_SETTINGS, chsh_batch, chsh_value
 from relbell.errors import EmptyDistribution, ParseError, SuperluminalSample
+from relbell.kinematics import speeds
+
+# The module, not the audit() function that relbell exports under its name.
+audit_module = importlib.import_module("relbell.audit")
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
@@ -78,6 +89,139 @@ class TestLoadDistribution:
             load_distribution("")
         with pytest.raises(EmptyDistribution):
             load_distribution(HEADER)
+
+
+def rowwise_load_distribution(text):
+    """load_distribution as first written, one row at a time: the oracle
+    for the batch loader. One change: the speed check is
+    ``kinematics.speeds``, the predicate every check now shares, where
+    it was math.hypot."""
+    rows = list(csv.reader(io.StringIO(text)))
+    rows = [(k + 1, row) for k, row in enumerate(rows) if row]
+    if not rows:
+        raise EmptyDistribution("distribution text is empty")
+    line, header = rows[0]
+    if tuple(cell.strip() for cell in header) != ("beta_x", "beta_y", "beta_z", "weight"):
+        raise ParseError(f"line {line}: header must be 'beta_x,beta_y,beta_z,weight'")
+    betas, weights = [], []
+    for line, row in rows[1:]:
+        if len(row) != 4:
+            raise ParseError(f"line {line}: expected 4 fields, got {len(row)}")
+        try:
+            vals = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise ParseError(f"line {line}: {exc}") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError(f"line {line}: non-finite value")
+        if vals[3] <= 0.0:
+            raise ParseError(f"line {line}: weight must be positive, got {vals[3]!r}")
+        if speeds(vals[:3]) >= 1.0:
+            raise SuperluminalSample(f"line {line}: |beta| >= 1 in sample {tuple(vals[:3])}")
+        betas.append(vals[:3])
+        weights.append(vals[3])
+    if not betas:
+        raise EmptyDistribution("distribution has a header but no samples")
+    return VelocityDistribution.from_samples(betas, weights)
+
+
+def outcome(load, text):
+    """(betas, weights) on success, (error class, message) on failure."""
+    try:
+        dist = load(text)
+    except Exception as exc:  # any error: its class and message are the outcome
+        return type(exc), str(exc)
+    return dist.betas.tolist(), dist.weights.tolist()
+
+
+# Cells of every kind the loader must tell apart: good speeds, zero and
+# negative weights, unparsable, non-finite, quoted and padded cells.
+hostile_cells = st.one_of(
+    st.floats(min_value=-0.5, max_value=0.5).map(repr),
+    st.sampled_from(["0", "1", "0.9", "-0.9", "2.5", "-1", "0.0", "-0.0", "1e-300", "1_0",
+                     " 0.25 ", '"0.5"', '"0,5"', "zero", "", "nan", "inf", "-inf", "1e999",
+                     "0x1p-2", "+.5", "--1"]),
+)
+hostile_rows = st.one_of(
+    st.lists(hostile_cells, min_size=4, max_size=4).map(",".join),
+    st.lists(hostile_cells, min_size=1, max_size=6).map(",".join),
+    st.sampled_from(["", "0.8,0.8,0,1", "0.6,0.8,0,1", '"0.1,0.1",0,0,1', "0,0,0,1,"]),
+)
+
+
+class TestBatchLoaderMatchesRowLoader:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(hostile_rows, min_size=0, max_size=12),
+           newline=st.sampled_from(["\n", "\r\n"]), blank_head=st.booleans())
+    def test_hostile_csv(self, rows, newline, blank_head):
+        text = ("\n" if blank_head else "") + newline.join([HEADER.strip()] + rows) + newline
+        assert outcome(load_distribution, text) == outcome(rowwise_load_distribution, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", HEADER, HEADER + "\n\n", "bx,by,bz,w\n0,0,0,1\n",
+        " beta_x , beta_y,beta_z ,weight\n0.1,0.2,0.3,1\n",
+        '"beta_x","beta_y","beta_z","weight"\n"0.1","0.2","0.3","2"\n',
+        HEADER + '0.1,0.2,"0.3\n",1\n0,0,0,0\n',
+        HEADER + "0.1,0,0,1\n0.2,0,0\n0,zero,0,1\n",
+        HEADER + "0.1,0,0,1\n0,zero,0,1\n0.2,0,0\n",
+        HEADER + "0.1,0,0,1\n\n0.9,0.9,0,1\n0,0,nan,1\n",
+        HEADER + "0.1,0,0,1\n0,0,inf,1\n0,0,0,-1\n",
+        HEADER + "0.1,0,0,1\n0.2,0,0,inf\n", HEADER + "0.1,0,0,1e999\n",
+        HEADER + "0.1,0,0,1\n0,0,0.5,0\n0.9,0.9,0,1\n",
+        HEADER + "0.1,0,0,1\r0.2,0,0,1\n",
+    ])
+    def test_fixed_hostile_inputs(self, text):
+        assert outcome(load_distribution, text) == outcome(rowwise_load_distribution, text)
+
+    def test_large_valid_input(self, rng):
+        betas = np.array([random_beta(rng, 0.999) for _ in range(3000)])
+        lines = [f"{x!r},{y!r},{z!r},{w!r}" for (x, y, z), w in
+                 zip(betas.tolist(), rng.uniform(0.1, 2.0, size=3000).tolist())]
+        text = HEADER + "\n".join(lines) + "\n"
+        assert outcome(load_distribution, text) == outcome(rowwise_load_distribution, text)
+        bad = HEADER + "\n".join(lines[:2500] + ["0,0,0,0"] + lines[2500:]) + "\n"
+        assert outcome(load_distribution, bad) == (
+            ParseError, "line 2502: weight must be positive, got 0.0")
+
+
+# Velocities whose speed is 1 or just below it in the last bit: math.hypot,
+# np.linalg.norm and the einsum norm disagreed on each of them.
+HYPOT_BELOW_NORM_AT_ONE = "0.8973731978166793,0.3244144631609724,-0.29912639457634765"
+HYPOT_AT_ONE_NORM_BELOW = "-0.26393279250813356,0.8965104512066986,0.3558208705458691"
+EINSUM_AT_ONE = "-0.11836822717154125,-0.6946164165137589,-0.7095752227254348"
+
+
+class TestOneSuperluminalPredicate:
+    @pytest.mark.parametrize("row", [HYPOT_BELOW_NORM_AT_ONE, EINSUM_AT_ONE])
+    def test_speed_one_is_rejected_by_every_route_with_the_line(self, row):
+        beta = [float(x) for x in row.split(",")]
+        assert speeds(beta) == 1.0
+        with pytest.raises(SuperluminalSample, match=r"^line 3: \|beta\| >= 1 in sample "
+                           + re.escape(repr(tuple(beta)))):
+            load_distribution(HEADER + "0.1,0,0,1\n" + row + ",1\n")
+        with pytest.raises(SuperluminalSample) as excinfo:
+            VelocityDistribution.from_samples([[0.1, 0.0, 0.0], beta], [1.0, 1.0])
+        assert str(excinfo.value) == f"sample 1 has |beta| = 1.0 >= 1: {tuple(beta)!r}"
+        assert "np.float64" not in str(excinfo.value)
+
+    def test_speed_below_one_is_accepted_by_every_route(self):
+        beta = [float(x) for x in HYPOT_AT_ONE_NORM_BELOW.split(",")]
+        assert speeds(beta) < 1.0
+        dist = load_distribution(HEADER + "0.1,0,0,1\n" + HYPOT_AT_ONE_NORM_BELOW + ",1\n")
+        assert dist.betas[1].tolist() == beta
+        direct = VelocityDistribution.from_samples([[0.1, 0.0, 0.0], beta], [1.0, 1.0])
+        assert np.array_equal(direct.betas, dist.betas)
+        # The kernel sees the checked speed, below light speed.
+        speed = speeds(beta)
+        expected, _ = chsh_batch(STANDARD_SETTINGS.axes, speed, np.array(beta) / speed)
+        assert per_sample_chsh(dist, STANDARD_SETTINGS)[1] == expected
+
+
+    def test_kernel_runs_at_the_checked_speeds(self, rng):
+        dist = VelocityDistribution.from_samples([random_beta(rng, 0.999) for _ in range(500)],
+                                                 np.ones(500))
+        speed = speeds(dist.betas)
+        expected, _ = chsh_batch(STANDARD_SETTINGS.axes, speed, dist.betas / speed[:, None])
+        assert np.array_equal(per_sample_chsh(dist, STANDARD_SETTINGS), expected)
 
 
 class TestFromSamples:
@@ -249,6 +393,15 @@ class TestJsonRendering:
         doc["nested"] = [[1, True, None, "s"], {"k": (), "z": {}}, np.float64(0.1)]
         assert render_json(doc) == recursive_render_json(doc)
         assert report.to_json() == recursive_render_json(report.to_json_dict()) + "\n"
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_report_bytes_match_across_sample_blocks(self, block):
+        rng = np.random.default_rng(block)
+        betas = [random_beta(rng, 0.999) for _ in range(50)]
+        report = audit(VelocityDistribution.from_samples(betas, rng.uniform(0.1, 1.0, size=50)),
+                       STANDARD_SETTINGS)
+        with mock.patch.object(audit_module, "_JSON_BLOCK_SAMPLES", block):
+            assert report.to_json() == recursive_render_json(report.to_json_dict()) + "\n"
 
 
 def recursive_render_json(obj, indent=0):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -22,6 +24,7 @@ from relbell.bell import (
     scan_theta_phi,
 )
 from relbell.errors import DegenerateObservable, EmptyGrid
+from relbell import bell
 from relbell.kinematics import BeamVelocity, alpha_norm
 from relbell.observables import DEGENERACY_THRESHOLD, eprb_closed_form, eprb_oracle
 
@@ -327,6 +330,70 @@ class TestScanTableValidation:
                       values=grid, gaps=((0, 1),))
 
 
+def rowwise_to_csv(table):
+    """ScanTable.to_csv as first written, one repr per cell: the oracle
+    for the column-at-a-time serializer."""
+    lines = [f"# {key}={table.metadata[key]}" for key in sorted(table.metadata)]
+    lines.append(",".join(table.axes + table.columns))
+    gapset = set(table.gaps)
+    for idx in np.ndindex(*table.values.shape[:-1]):
+        cells = [repr(float(table.coords[d][i])) for d, i in enumerate(idx)]
+        if idx in gapset:
+            cells.extend("degenerate" for _ in table.columns)
+        else:
+            cells.extend(repr(float(v)) for v in table.values[idx])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+cell_values = st.floats(allow_nan=False, allow_infinity=True, width=64)
+
+
+@st.composite
+def scan_tables(draw):
+    """Tables of 1 to 3 axes and 1 to 3 columns with no, some or all grid
+    points as gaps; axis lengths up to 9 give up to 729 rows."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    columns = tuple(f"c{k}" for k in range(draw(st.integers(1, 3))))
+    coords = tuple(np.array(draw(st.lists(cell_values, min_size=n, max_size=n))) for n in shape)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape + (len(columns),)) * 10.0 ** rng.integers(-300, 300, size=shape + (1,))
+    kind = draw(st.sampled_from(["none", "some", "all"]))
+    mask = {"none": np.zeros(shape, bool), "all": np.ones(shape, bool),
+            "some": rng.random(shape) < 0.3}[kind]
+    values[mask] = np.nan
+    gaps = tuple(map(tuple, np.argwhere(mask).tolist()))
+    return ScanTable(axes=tuple(f"x{d}" for d in range(len(shape))), coords=coords,
+                     columns=columns, values=values, gaps=gaps,
+                     metadata={"seed": seed, "kind": kind})
+
+
+class TestCsvSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(table=scan_tables(), block=st.sampled_from([1, 7, 64, 1024]))
+    def test_bytes_match_the_rowwise_serializer(self, table, block):
+        # Small row blocks put block boundaries inside every table.
+        with mock.patch.object(bell, "_CSV_BLOCK_ROWS", block):
+            assert table.to_csv() == rowwise_to_csv(table)
+
+    def test_bytes_match_across_full_row_blocks(self):
+        # 129 x 129 = 16 641 rows, many blocks of the real size, with gaps
+        # (at speed 1) on both sides of the first boundary.
+        table = scan_theta_phi(STANDARD_SETTINGS, [0.9, 1.0], np.linspace(0.0, math.pi, 129),
+                               np.linspace(0.0, 2.0 * math.pi, 129))
+        rows = math.prod(table.values.shape[:-1])
+        flat_gaps = [i * 129 + j for i, j in table.gaps]
+        assert rows > bell._CSV_BLOCK_ROWS
+        assert min(flat_gaps) < bell._CSV_BLOCK_ROWS < max(flat_gaps)
+        assert table.to_csv() == rowwise_to_csv(table)
+
+    def test_integer_coordinates_and_values_print_as_floats(self):
+        table = ScanTable(axes=("n",), coords=([1, 2],), columns=("v",),
+                          values=np.array([[3], [4]]))
+        assert table.to_csv() == rowwise_to_csv(table) == "n,v\n1.0,3.0\n2.0,4.0\n"
+
+
 class TestMaximizeChsh:
     def test_rest_recovers_quantum_bound(self):
         settings, value = maximize_chsh(REST, restarts=2)
@@ -381,9 +448,10 @@ velocities = st.builds(
 def deformed_gram(calibrated, beta):
     """Gram matrix of the normalized deformed axes alpha_hat of some settings.
 
-    The transverse factor is sqrt((1 - beta)(1 + beta)): alpha_vector's
-    sqrt(1 - beta^2) is off by ~1e-10 relative at 1 - |beta| = 1e-6,
-    which would move this Gram matrix by ~4e-12.
+    The transverse factor is sqrt((1 - beta)(1 + beta)), as in
+    alpha_vector; the map is written out here because alpha_vector rejects
+    velocities below ~1e-154, where the squares in |beta| underflow and
+    the motion direction misses unit length.
     """
     bv = BeamVelocity.of(beta)
     n = bv.direction

@@ -28,11 +28,14 @@ X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
+# A speed of 1.0 times a unit direction can round to |beta| = 1 + 2^-52,
+# which BeamVelocity rightly rejects as superluminal; such draws are not
+# velocities and are dropped.
 beta_vectors = st.builds(
     lambda mag, seed: mag * random_direction(np.random.default_rng(seed)),
     mag=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
+).filter(lambda beta: np.linalg.norm(beta) <= 1.0)
 directions = st.builds(
     lambda seed: random_direction(np.random.default_rng(seed)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -129,6 +132,42 @@ class TestAlphaVector:
         b = np.linalg.norm(beta)
         value = alpha_norm(a, beta)
         assert math.sqrt(max(1.0 - b * b, 0.0)) - 1e-12 <= value <= 1.0 + 1e-12
+
+
+class TestAlphaVectorPrecision:
+    """alpha_vector against a 50-digit mpmath evaluation of the same float
+    speed, direction and axis."""
+
+    @staticmethod
+    def reference(a, bv):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            m = mpmath.mpf(bv.magnitude)
+            n = [mpmath.mpf(x) for x in bv.direction]
+            av = [mpmath.mpf(x) for x in a]
+            na = sum(x * y for x, y in zip(n, av))
+            factor = mpmath.sqrt(1 - m * m)
+            return factor, [factor * (x - na * y) + na * y for x, y in zip(av, n)]
+
+    def test_transverse_factor_near_light_speed(self):
+        # With the axis orthogonal to the motion, alpha is the transverse
+        # factor times the axis: within 2 ulp relative at every gap to 1.
+        for k in range(1, 16):
+            speed = 1.0 - 10.0**-k
+            bv = BeamVelocity(beta=speed * X, magnitude=speed, direction=X)
+            factor, _ = self.reference(Y, bv)
+            got = alpha_vector(Y, bv)
+            assert got[0] == 0.0 and got[2] == 0.0
+            assert abs(got[1] - factor) <= 2 * np.finfo(float).eps * factor, k
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=directions, n=directions, exponent=st.floats(min_value=-12.0, max_value=0.0))
+    def test_matches_the_reference(self, a, n, exponent):
+        speed = 1.0 - 10.0**exponent
+        bv = BeamVelocity(beta=speed * n, magnitude=speed, direction=n)
+        _, ref = self.reference(a, bv)
+        got = alpha_vector(a, bv)
+        assert max(abs(float(r - g)) for r, g in zip(ref, got)) <= 4e-15
 
 
 class TestSpinEigenvalues:

@@ -69,6 +69,7 @@ from .dirac import (
     build_context,
     casimir_check,
     com_uncertainty_bound,
+    dirac_battery,
     eigenstate_check,
     eigenstates,
     evenness_check,

@@ -41,20 +41,8 @@ from .bell import (
     scan_beta_phi,
     scan_theta_phi,
 )
-from .dirac import (
-    CheckRecord,
-    build_context,
-    casimir_check,
-    eigenstate_check,
-    evenness_check,
-    hamiltonian_identity_check,
-    kinetic_quantities,
-    massless_even_velocity_check,
-    precession_check,
-    spin_form_agreement_check,
-    spin_spectrum_check,
-)
-from .errors import CheckFailed, RelbellError
+from .dirac import CheckRecord, dirac_battery, kinetic_quantities
+from .errors import RelbellError
 from .kinematics import BeamVelocity
 from .observables import eprb_closed_form, eprb_oracle
 from .audit import render_json
@@ -194,35 +182,14 @@ def _random_direction(rng) -> np.ndarray:
 
 def _cmd_dirac_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    merged: dict[str, list] = {}
-
-    def absorb(report):
-        for rec in report.records:
-            slot = merged.setdefault(rec.check, [0.0, rec.tolerance, True])
-            slot[0] = max(slot[0], rec.max_residual)
-            slot[2] = slot[2] and rec.passed
-
-    def run(check, *check_args, **kw):
-        try:
-            absorb(check(*check_args, **kw))
-        except CheckFailed as exc:
-            absorb(exc.report)
-
-    for _ in range(args.trials):
-        p = args.p if args.p is not None else rng.uniform(0.3, 4.0) * _random_direction(rng)
-        m = args.m if args.m is not None else float(rng.uniform(0.2, 3.0))
-        a = _random_direction(rng)
-        ops = build_context(p, m)
-        run(spin_spectrum_check, ops, a)
-        run(precession_check, ops)
-        run(spin_form_agreement_check, ops)
-        run(casimir_check, ops)
-        run(evenness_check, ops)
-        if m > 0.0 and ops.ctx.p_mag > 0.0:
-            run(eigenstate_check, ops, a)
-            run(hamiltonian_identity_check, ops)
-        if args.p is None or ops.ctx.p_mag > 0.0:
-            run(massless_even_velocity_check, p)
+    p = np.empty((args.trials, 3))
+    m = np.empty(args.trials)
+    a = np.empty((args.trials, 3))
+    for k in range(args.trials):
+        p[k] = args.p if args.p is not None else rng.uniform(0.3, 4.0) * _random_direction(rng)
+        m[k] = args.m if args.m is not None else rng.uniform(0.2, 3.0)
+        a[k] = _random_direction(rng)
+    records = list(dirac_battery(p, m, a))
 
     kinetic_residual = 0.0
     omega_residual = 0.0
@@ -239,12 +206,9 @@ def _cmd_dirac_check(args) -> int:
         ("kinetic.moment_vs_mass_radius", kinetic_residual, 1e-14),
         ("kinetic.spin_half_angular_velocity", omega_residual, 1e-12),
     ):
-        merged[name] = [residual, tol, residual <= tol]
-
-    records = [
-        CheckRecord(check=name, max_residual=slot[0], tolerance=slot[1], passed=slot[2])
-        for name, slot in sorted(merged.items())
-    ]
+        records.append(CheckRecord(check=name, max_residual=residual, tolerance=tol,
+                                   passed=residual <= tol))
+    records.sort(key=lambda r: r.check)
     text = render_json([r.as_dict() for r in records]) + "\n"
     _emit(text, args.out)
     return 0 if all(r.passed for r in records) else 2

@@ -64,6 +64,31 @@ def speeds(betas) -> np.ndarray:
     return np.sqrt(np.einsum("...j,...j->...", betas, betas))
 
 
+#: A sum of squares of float components below this has lost bits to
+#: underflow (the smallest normal number over the unit roundoff).
+_SQUARES_LOSSLESS = float(np.finfo(float).tiny / np.finfo(float).eps)
+
+
+def lengths_and_directions(v):
+    """|v| and v / |v| for each row of a (..., 3) array.
+
+    A zero row gets length 0 and direction 0. A nonzero row whose sum of
+    squares would lose bits to underflow (|v| below about 1e-146) is
+    divided by its largest component first, so its direction is a unit
+    vector to rounding; every other row is divided by ``speeds(v)``.
+    """
+    v = np.asarray(v, dtype=float)
+    length = speeds(v)
+    scale = 1.0
+    tiny = (length * length < _SQUARES_LOSSLESS) & np.any(v != 0.0, axis=-1)
+    if np.any(tiny):
+        # Other rows are divided by 1, which leaves their bits alone.
+        scale = np.where(tiny, np.max(np.abs(v), axis=-1), 1.0)
+        v = v / scale[..., None]
+        length = speeds(v)
+    return scale * length, v / np.where(length > 0.0, length, 1.0)[..., None]
+
+
 @dataclass(frozen=True, eq=False)
 class BeamVelocity:
     """A particle velocity in units of c, with its derived quantities.
@@ -87,7 +112,12 @@ class BeamVelocity:
         mag = float(np.linalg.norm(beta))
         if mag > 1.0:
             raise ValueError(f"superluminal velocity |beta| = {mag!r} > 1")
-        direction = beta / mag if mag > 0.0 else Z_AXIS.copy()
+        if mag * mag < _SQUARES_LOSSLESS and np.any(beta):
+            # The squares underflowed: rescale, or the direction misses unit length.
+            length, direction = lengths_and_directions(beta)
+            mag = float(length)
+        else:
+            direction = beta / mag if mag > 0.0 else Z_AXIS.copy()
         return cls(beta=beta, magnitude=mag, direction=direction)
 
     @property

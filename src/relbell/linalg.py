@@ -18,6 +18,9 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
 
+#: The largest entry of |a - a^H| that herm_eig accepts by default.
+HERMITICITY_TOL = 1e-10
+
 
 def max_abs(a) -> float:
     """Largest entry magnitude; the norm used in all residual checks."""
@@ -76,7 +79,13 @@ def phase_fixed(v, threshold: float = 1e-12) -> np.ndarray:
     return v
 
 
-def herm_eig(a, hermiticity_tol: float = 1e-10):
+def hermitian_deviation(a) -> np.ndarray:
+    """Largest entry of |a - a^H| for each matrix of an (..., n, n) stack."""
+    a = np.asarray(a)
+    return np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
+
+
+def herm_eig(a, hermiticity_tol: float = HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian matrix with fixed conventions.
 
     Returns (w, v): eigenvalues w ascending, eigenvectors as the columns
@@ -87,7 +96,7 @@ def herm_eig(a, hermiticity_tol: float = 1e-10):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"herm_eig needs a square matrix, got shape {a.shape}")
-    deviation = max_abs(a - dagger(a))
+    deviation = float(hermitian_deviation(a))
     if deviation > hermiticity_tol:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {deviation:.3e}")
     # Symmetrize before calling LAPACK; a bitwise no-op for exactly

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from relbell import cli, dirac
 from relbell.bell import STANDARD_SETTINGS
 from relbell.cli import main
 from relbell.kinematics import BeamVelocity, alpha_vector
@@ -59,6 +60,12 @@ class TestCorrelate:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "correlate", "--a", "1,0,0", "--b", "0,1,0", "--beta", "2,0,0")
         assert exc.value.code == 1
+
+    def test_velocity_with_underflowing_squares(self, capsys):
+        code, out, err = run(capsys, "correlate", "--a", "1,0,0", "--b", "0,1,0",
+                             "--beta=1.00489977e-157,-1.05584915e-157,5.11858302e-157")
+        assert (code, err) == (0, "")
+        assert out.startswith("closed_form=")
 
     def test_negative_leading_component_via_equals(self, capsys):
         code, out, _ = run(
@@ -221,6 +228,59 @@ class TestDiracCheck:
         code2, second, _ = run(capsys, "dirac-check", "--trials", "2")
         assert code == code2 == 0
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ("--trials", "25", "--seed", "11"),
+        ("--p", "0.5,-1,2", "--trials", "6", "--seed", "4"),
+        ("--m", "0", "--trials", "6", "--seed", "4"),
+    ])
+    def test_draws_follow_the_scalar_loop_order(self, capsys, monkeypatch, argv):
+        seen = []
+
+        def record(p, m, a):
+            seen.append((p.copy(), m.copy(), a.copy()))
+            return ()
+
+        monkeypatch.setattr(cli, "dirac_battery", record)
+        run(capsys, "dirac-check", *argv)
+        args = cli.build_parser().parse_args(["dirac-check", *argv])
+        # The order of draws of the per-trial loop that came before the battery.
+        rng = np.random.default_rng(args.seed)
+        p, m, a = [], [], []
+        for _ in range(args.trials):
+            p.append(args.p if args.p is not None
+                     else rng.uniform(0.3, 4.0) * cli._random_direction(rng))
+            m.append(args.m if args.m is not None else float(rng.uniform(0.2, 3.0)))
+            a.append(cli._random_direction(rng))
+        (got_p, got_m, got_a), = seen
+        assert np.array_equal(got_p, np.array(p))
+        assert np.array_equal(got_m, np.array(m))
+        assert np.array_equal(got_a, np.array(a))
+
+    @pytest.mark.parametrize("argv", [
+        ("--trials", "40", "--seed", "2"),
+        ("--m", "0", "--trials", "15", "--seed", "6"),
+    ])
+    def test_output_does_not_depend_on_the_block_size(self, capsys, monkeypatch, argv):
+        outputs = []
+        for block in (dirac._BLOCK, 1, 7):
+            monkeypatch.setattr(dirac, "_BLOCK", block)
+            code, out, _ = run(capsys, "dirac-check", *argv)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_tiny_momentum_passes(self, capsys):
+        # |p| ~ 1e-160: the squares of p underflow, the direction must not.
+        code, out, err = run(capsys, "dirac-check", "--p=1e-160,0,1e-160", "--m", "1",
+                             "--trials", "1")
+        assert (code, err) == (0, "")
+        assert all(r["pass"] for r in json.loads(out))
+
+    def test_null_context_exits_two(self, capsys):
+        code, out, err = run(capsys, "dirac-check", "--p", "0,0,0", "--m", "0", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("NullContext: ")
 
 
 class TestCryptoAudit:

@@ -1,5 +1,6 @@
 """Tests for the 4x4 free-particle operator family and its identity checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_direction, unit
+from relbell import dirac
 from relbell.dirac import (
     ALPHA,
     GAMMA,
@@ -15,6 +17,7 @@ from relbell.dirac import (
     ID4,
     SPIN,
     build_context,
+    dirac_battery,
     casimir_check,
     com_uncertainty_bound,
     eigenstate_check,
@@ -30,12 +33,14 @@ from relbell.dirac import (
     spin_spectrum_check,
 )
 from relbell.errors import (
+    CheckFailed,
     EigenstateResidual,
+    NonHermitianInput,
     NullContext,
     SpectrumMismatch,
     ZeroHelicity,
 )
-from relbell.kinematics import spin_eigenvalues
+from relbell.kinematics import alpha_norm, spin_eigenvalues
 from relbell.linalg import commutator, dagger, max_abs
 
 X = np.array([1.0, 0.0, 0.0])
@@ -297,6 +302,224 @@ class TestCasimirAndEvenness:
     def test_massless_check_rejects_zero_momentum(self):
         with pytest.raises(NullContext):
             massless_even_velocity_check(np.zeros(3))
+
+
+class TestSpinLength:
+    """|lambda_a| = hypot(m, p . a) / (2 p0), the one spectrum length of
+    the spectrum check and the eigenstates."""
+
+    def test_matches_alpha_norm_at_moderate_speeds(self, rng):
+        p = rng.uniform(0.0, 4.0, (200, 1)) * np.array([random_direction(rng) for _ in range(200)])
+        m = rng.uniform(0.5, 3.0, 200)
+        a = np.array([random_direction(rng) for _ in range(200)])
+        lam = dirac._spin_length(dirac._context(p, m), a)
+        p0 = np.hypot(np.linalg.norm(p, axis=1), m)
+        for k in range(200):
+            assert abs(lam[k] - 0.5 * alpha_norm(a[k], p[k] / p0[k])) <= 1e-14
+
+    def test_against_fifty_digit_reference(self):
+        # Relative error bound (4 + 3 kappa) eps with kappa = |p| |p.a| /
+        # (m^2 + (p.a)^2), the conditioning of the rounded p . a; it holds
+        # up to |p| / m = 1e6, half the axes orthogonal to p to rounding.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(5)
+        count = 300
+        m = rng.uniform(0.2, 3.0, count)
+        n = np.array([random_direction(rng) for _ in range(count)])
+        p = (10.0 ** rng.uniform(-2.0, 6.0, count) * m)[:, None] * n
+        a = np.array([random_direction(rng) for _ in range(count)])
+        orthogonal = a - np.sum(a * n, axis=1)[:, None] * n
+        a[::2] = (orthogonal / np.linalg.norm(orthogonal, axis=1)[:, None])[::2]
+        lam = dirac._spin_length(dirac._context(p, m), a)
+        eps = np.finfo(float).eps
+        for k in range(count):
+            P = [mpmath.mpf(x) for x in p[k]]
+            M = mpmath.mpf(m[k])
+            pa = sum(x * mpmath.mpf(y) for x, y in zip(P, a[k]))
+            ref = mpmath.sqrt(M * M + pa * pa) / (2 * mpmath.sqrt(sum(x * x for x in P) + M * M))
+            kappa = float(mpmath.sqrt(sum(x * x for x in P)) * abs(pa) / (M * M + pa * pa))
+            assert float(abs(lam[k] - ref) / ref) <= (4.0 + 3.0 * kappa) * eps
+
+    def test_tiny_momentum_keeps_a_unit_direction(self):
+        # The squares of p underflow; the battery still passes everywhere.
+        ops = build_context(np.array([1e-160, 0.0, 1e-160]), 1.0)
+        assert abs(np.linalg.norm(ops.ctx.n) - 1.0) < 1e-15
+        records = dirac_battery(np.array([[1e-160, 0.0, 1e-160]]), np.array([1.0]),
+                                np.array([unit([1.0, 2.0, 3.0])]))
+        assert all(r.passed for r in records)
+        assert "hamiltonian_identity.full_space" in {r.check for r in records}
+
+
+def _trials(rng, count):
+    p = np.array([rng.uniform(0.3, 4.0) * random_direction(rng) for _ in range(count)])
+    m = rng.uniform(0.2, 3.0, count)
+    a = np.array([random_direction(rng) for _ in range(count)])
+    return p, m, a
+
+
+def _add(field, delta):
+    """A fault that adds delta to the operator field of the hit trials."""
+    def perturb(ops, hit):
+        value = getattr(ops, field).copy()
+        value[hit] = value[hit] + delta
+        return dataclasses.replace(ops, **{field: value})
+    return perturb
+
+
+def _massless_fault(ctx, H, hit):
+    H = H.copy()
+    H[hit] = H[hit] + 1e-6 * ID4
+    return ctx, H
+
+
+# kernel function, planted fault, the one-context check it backs
+PLANTED = {
+    "_spin_spectrum": (_add("S", 1e-6 * GAMMA0), lambda ops, p, a: spin_spectrum_check(ops, a)),
+    "_eigenstate": (_add("H", 1e-6 * ID4), lambda ops, p, a: eigenstate_check(ops, a)),
+    "_precession": (_add("H", 1e-6 * ALPHA[0]), lambda ops, p, a: precession_check(ops)),
+    "_hamiltonian_identity": (_add("S", 1e-6 * ID4),
+                              lambda ops, p, a: hamiltonian_identity_check(ops)),
+    "_spin_forms": (_add("S", 1e-6 * ID4), lambda ops, p, a: spin_form_agreement_check(ops)),
+    "_casimir": (_add("W", 1e-6 * ID4), lambda ops, p, a: casimir_check(ops)),
+    "_evenness": (_add("S", 1e-6 * GAMMA5), lambda ops, p, a: evenness_check(ops)),
+    "_massless_velocity": (None, lambda ops, p, a: massless_even_velocity_check(p)),
+}
+
+
+class TestBattery:
+    @pytest.mark.parametrize("trial", [7, 49])
+    @pytest.mark.parametrize("kernel", sorted(PLANTED))
+    def test_planted_fault_matches_the_single_context_check(self, monkeypatch, kernel, trial):
+        # Blocks of 16 over 50 trials: trial 49 sits in the partial last block.
+        monkeypatch.setattr(dirac, "_BLOCK", 16)
+        p, m, a = _trials(np.random.default_rng(40 + trial), 50)
+        perturb, single = PLANTED[kernel]
+        original = getattr(dirac, kernel)
+
+        def planted(first, *rest):
+            hit = np.all(first.p == p[trial], axis=1) if kernel == "_massless_velocity" \
+                else np.all(first.ctx.p == p[trial], axis=1)
+            if kernel == "_massless_velocity":
+                return original(*_massless_fault(first, rest[0], hit))
+            return original(perturb(first, hit), *rest)
+
+        monkeypatch.setattr(dirac, kernel, planted)
+        records = {r.check: r for r in dirac_battery(p, m, a)}
+        with pytest.raises(CheckFailed) as exc:
+            single(build_context(p[trial], m[trial]), p[trial], a[trial])
+        report = exc.value.report
+        failing = [r for r in report.records if not r.passed]
+        assert failing
+        for record in failing:
+            assert not records[record.check].passed
+            assert records[record.check].max_residual == record.max_residual
+        names = {r.check for r in report.records}
+        assert all(r.passed for name, r in records.items() if name not in names)
+
+    def test_operators_match_the_scalar_formulas(self, rng):
+        # The per-trial matrix formulas the battery replaced, as reference.
+        p, m, _ = _trials(rng, 30)
+        p[4] = 0.0
+        ops = dirac._operators(p, m)
+        for k in range(30):
+            p0 = math.hypot(np.linalg.norm(p[k]), m[k])
+            H = sum(p[k][j] * ALPHA[j] for j in range(3)) + m[k] * GAMMA0
+            W = [(SPIN[j] @ H + H @ SPIN[j]) / 2.0 for j in range(3)]
+            S = [W[j] @ H / (p0 * p0) for j in range(3)]
+            tol = 8.0 * np.finfo(float).eps * p0
+            assert np.array_equal(ops.H[k], H)
+            assert_allclose(ops.W[k], W, rtol=0.0, atol=tol * p0)
+            assert_allclose(ops.S[k], S, rtol=0.0, atol=tol)
+            if k == 4:
+                assert max_abs(ops.Omega[k]) == 0.0
+                continue
+            n = p[k] / np.linalg.norm(p[k])
+            even = (np.dot(p[k], p[k]) / p0**2) * (ID4 + m[k] / np.linalg.norm(p[k])
+                                                   * sum(n[j] * GAMMA[j] for j in range(3)))
+            assert_allclose(ops.Omega[k], [even @ (-2.0 * p[k][j] * GAMMA5) for j in range(3)],
+                            rtol=0.0, atol=tol * p0)
+
+    def test_mixed_batch_matches_per_context_checks(self, rng):
+        p, m, a = _trials(rng, 24)
+        p[3] = 0.0                      # at rest
+        m[5] = m[9] = 0.0               # massless
+        a[7] = -p[7] / np.linalg.norm(p[7])   # axis against the motion
+        a[9] = -p[9] / np.linalg.norm(p[9])   # ... of a massless particle
+        a[11] = p[11] / np.linalg.norm(p[11])  # axis along the motion
+        merged = {}
+        for k in range(24):
+            ops = build_context(p[k], m[k])
+            reports = [spin_spectrum_check(ops, a[k]), precession_check(ops),
+                       spin_form_agreement_check(ops), casimir_check(ops), evenness_check(ops)]
+            if m[k] > 0.0 and ops.ctx.p_mag > 0.0:
+                reports += [eigenstate_check(ops, a[k]), hamiltonian_identity_check(ops)]
+            if ops.ctx.p_mag > 0.0:
+                reports.append(massless_even_velocity_check(p[k]))
+            for record in (r for report in reports for r in report.records):
+                seen = merged.get(record.check)
+                merged[record.check] = record if seen is None or \
+                    record.max_residual > seen.max_residual else seen
+        battery = {r.check: r for r in dirac_battery(p, m, a)}
+        assert battery == merged
+
+    def test_rest_and_massless_record_sets(self):
+        rest = {r.check for r in dirac_battery(np.zeros((2, 3)), np.ones(2), np.eye(3)[:2])}
+        assert "evenness.omega" not in rest and "eigenstate.energy" not in rest
+        assert "massless_velocity.even" not in rest
+        assert "precession.omega_commutes_with_hamiltonian" not in rest
+        massless = {r.check for r in dirac_battery(np.ones((1, 3)), np.zeros(1), np.eye(3)[:1])}
+        assert "precession.omega_commutes_with_hamiltonian" in massless
+        assert "hamiltonian_identity.full_space" not in massless
+
+    def test_validation_names_the_first_bad_trial(self, rng):
+        p, m, a = _trials(rng, 12)
+        with pytest.raises(ValueError, match=r"mass must be finite and non-negative, "
+                                             r"got -1.0 \(trial 4\)"):
+            dirac_battery(p, np.where(np.arange(12) >= 4, -1.0, m), a)
+        with pytest.raises(ValueError, match=r"got nan \(trial 2\)"):
+            dirac_battery(p, np.where(np.arange(12) == 2, np.nan, m), a)
+        with pytest.raises(ValueError, match=r"momentum must be finite.*\(trial 8\)"):
+            dirac_battery(np.where(np.arange(12)[:, None] == 8, np.inf, p), m, a)
+        p[6] = p[9] = 0.0
+        m[6] = m[9] = 0.0
+        with pytest.raises(NullContext, match=r"\(trial 6\)"):
+            dirac_battery(p, m, a)
+        p, m, a = _trials(rng, 12)
+        a[10] *= 1.001
+        with pytest.raises(ValueError, match=r"analyzer axis must be a unit vector.*\(trial 10\)"):
+            dirac_battery(p, m, a)
+        with pytest.raises(ValueError, match="need p"):
+            dirac_battery(p[:5], m, a)
+
+    def test_non_hermitian_spin_names_the_trial(self, monkeypatch, rng):
+        monkeypatch.setattr(dirac, "_BLOCK", 8)
+        p, m, a = _trials(rng, 20)
+        original = dirac._operators
+
+        def skewed(p_block, m_block):
+            ops = original(p_block, m_block)
+            S = ops.S.copy()
+            S[np.all(p_block == p[13], axis=1)] += 1e-6j * ID4
+            return dataclasses.replace(ops, S=S)
+
+        monkeypatch.setattr(dirac, "_operators", skewed)
+        with pytest.raises(NonHermitianInput, match=r"\(trial 13\)"):
+            dirac_battery(p, m, a)
+
+    def test_block_holds_a_bounded_working_set(self, monkeypatch):
+        # Each block builds its operators from a slice of at most _BLOCK trials.
+        sizes = []
+        original = dirac._operators
+
+        def counted(p_block, m_block):
+            sizes.append(len(p_block))
+            return original(p_block, m_block)
+
+        monkeypatch.setattr(dirac, "_operators", counted)
+        p, m, a = _trials(np.random.default_rng(2), 2 * dirac._BLOCK + 5)
+        dirac_battery(p, m, a)
+        assert sizes == [dirac._BLOCK, dirac._BLOCK, 5]
 
 
 class TestKineticQuantities:

@@ -16,6 +16,7 @@ from relbell.kinematics import (
     alpha_vector,
     check_unit,
     decompose,
+    lengths_and_directions,
     orthonormal_triad,
     spin_eigenvalues,
     spin_structure_constants,
@@ -71,6 +72,34 @@ class TestBeamVelocity:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             BeamVelocity.of([0.1, 0.2])
+
+    def test_direction_is_unit_where_the_squares_underflow(self):
+        beta = [1.00489977e-157, -1.05584915e-157, 5.11858302e-157]
+        v = BeamVelocity.of(beta)
+        assert abs(np.linalg.norm(v.direction) - 1.0) < 1e-15
+        assert_allclose(v.direction * v.magnitude, beta, rtol=1e-15)
+        assert check_unit(v.direction) is not None
+
+    def test_other_velocities_keep_their_bits(self, rng):
+        # Only inputs whose squared norm loses bits take the rescaled route.
+        for scale in (1.0, 1e-3, 1e-100, 1e-140):
+            for _ in range(50):
+                beta = scale * random_beta(rng)
+                v = BeamVelocity.of(beta)
+                norm = np.linalg.norm(beta)
+                assert v.magnitude == norm
+                assert np.array_equal(v.direction, beta / norm)
+
+
+class TestLengthsAndDirections:
+    def test_rows(self, rng):
+        v = np.array([random_beta(rng) for _ in range(20)] + [np.zeros(3), [0.0, 3e-170, -4e-170]])
+        length, direction = lengths_and_directions(v)
+        assert np.array_equal(length[:20], np.sqrt(np.einsum("ij,ij->i", v[:20], v[:20])))
+        assert np.array_equal(direction[:20], v[:20] / length[:20, None])
+        assert length[20] == 0.0 and np.array_equal(direction[20], np.zeros(3))
+        assert_allclose(length[21], 5e-170, rtol=1e-15)
+        assert_allclose(direction[21], [0.0, 0.6, -0.8], atol=1e-15)
 
 
 class TestDecompose:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -42,6 +41,8 @@ _TERM_SIGNS = np.array([[-1.0, -1.0], [-1.0, 1.0]])
 # Rows that ScanTable.to_csv formats at once; bounds the memory its cell
 # strings take on large grids.
 _CSV_BLOCK_ROWS = 1 << 10
+# Rows of CHSH terms that _chsh hands to math.fsum as one list.
+_FSUM_BLOCK_ROWS = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +85,9 @@ def _check_unit_rows(v, name, labels=None) -> None:
     """Raise ValueError naming the first row of v that is not a unit
     vector within 1e-12 (non-finite rows included)."""
     norm = np.sqrt(np.einsum("...j,...j->...", v, v))
-    off = ~(np.abs(norm - 1.0) <= _UNIT_TOL)
-    if off.any():
-        idx = tuple(int(i) for i in np.argwhere(off)[0])
+    unit = np.abs(norm - 1.0) <= _UNIT_TOL
+    if np.count_nonzero(unit) < unit.size:
+        idx = tuple(int(i) for i in np.argwhere(~unit)[0])
         if labels is not None:
             name = f"{name} {labels[idx[-1]]}"
         raise ValueError(f"{name} must be a unit vector, got |v| = {float(norm[idx])!r}")
@@ -122,23 +123,25 @@ def chsh_batch(axes, speed, direction):
 def _chsh(axes, speed, direction):
     """chsh_batch without the validation, for inputs already checked."""
     n_dot = np.einsum("...j,...kj->...k", direction, axes)
-    b2 = speed[..., None] * speed[..., None]
-    len2 = (1.0 - b2) + b2 * (n_dot * n_dot)
+    b = speed[..., None]
+    b2 = b * b
+    rest = 1.0 - b2
+    len2 = rest + b2 * (n_dot * n_dot)
     degenerate = len2 <= DEGENERACY_THRESHOLD**2
-    any_degenerate = degenerate.any()
+    any_degenerate = np.count_nonzero(degenerate) > 0
     length = np.sqrt(np.where(degenerate, 1.0, len2) if any_degenerate else len2)
     # alpha(a) . alpha(b) = (1 - beta^2) a . b + beta^2 (n.a)(n.b), which
     # is exact at rest and at light speed; built in place to keep the peak
     # memory of large batches down.
-    b2 = b2[..., None]
-    terms = b2 * (n_dot[..., :2, None] * n_dot[..., None, 2:])
-    terms += (1.0 - b2) * np.einsum("...ij,...kj->...ik", axes[..., :2, :], axes[..., 2:, :])
+    terms = b2[..., None] * (n_dot[..., :2, None] * n_dot[..., None, 2:])
+    terms += rest[..., None] * np.einsum("...ij,...kj->...ik", axes[..., :2, :], axes[..., 2:, :])
     terms /= length[..., :2, None] * length[..., None, 2:]
     terms *= _TERM_SIGNS
-    # Rows go to math.fsum in chunks, so that no list of all rows is built.
+    # Rows go to math.fsum in blocks, so that no list of all rows is built.
     flat = terms.reshape(-1, 4)
-    rows = chain.from_iterable(flat[k:k + 1024].tolist() for k in range(0, len(flat), 1024))
-    values = np.fromiter(map(math.fsum, rows), dtype=float, count=len(flat))
+    values = np.empty(len(flat))
+    for k in range(0, len(flat), _FSUM_BLOCK_ROWS):
+        values[k:k + _FSUM_BLOCK_ROWS] = list(map(math.fsum, flat[k:k + _FSUM_BLOCK_ROWS].tolist()))
     values = values.reshape(terms.shape[:-2])
     if any_degenerate:
         values[degenerate.any(axis=-1)] = math.nan
@@ -157,7 +160,7 @@ def chsh_value(settings: ChshSettings, beta, correlation=None) -> float:
     axes = settings.axes
     _check_unit_rows(axes, "setting", _LABELS)
     value, degenerate = _chsh(axes, np.asarray(bv.magnitude), bv.direction)
-    if degenerate.any():
+    if np.count_nonzero(degenerate):
         label = _LABELS[int(np.argmax(degenerate))]
         raise DegenerateObservable(f"setting {label} degenerate at |beta| = {bv.magnitude!r}")
     if correlation is None:

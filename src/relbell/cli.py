@@ -23,6 +23,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import os
@@ -43,7 +44,7 @@ from .bell import (
 )
 from .dirac import CheckRecord, dirac_battery, kinetic_quantities
 from .errors import RelbellError
-from .kinematics import BeamVelocity
+from .kinematics import BeamVelocity, random_direction
 from .observables import eprb_closed_form, eprb_oracle
 from .audit import render_json
 
@@ -112,7 +113,7 @@ def _mags_arg(text: str):
     for m in mags:
         if not (0.0 <= m <= 1.0):
             raise argparse.ArgumentTypeError(f"speed must lie in [0, 1], got {m!r}")
-    return mags
+    return tuple(mags)
 
 
 def _emit(text: str, out) -> None:
@@ -172,23 +173,15 @@ def _cmd_fig3(args) -> int:
     return 0
 
 
-def _random_direction(rng) -> np.ndarray:
-    while True:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-6:
-            return v / norm
-
-
 def _cmd_dirac_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     p = np.empty((args.trials, 3))
     m = np.empty(args.trials)
     a = np.empty((args.trials, 3))
     for k in range(args.trials):
-        p[k] = args.p if args.p is not None else rng.uniform(0.3, 4.0) * _random_direction(rng)
+        p[k] = args.p if args.p is not None else rng.uniform(0.3, 4.0) * random_direction(rng)
         m[k] = args.m if args.m is not None else rng.uniform(0.2, 3.0)
-        a[k] = _random_direction(rng)
+        a[k] = random_direction(rng)
     records = list(dirac_battery(p, m, a))
 
     kinetic_residual = 0.0
@@ -233,9 +226,9 @@ def _cmd_selftest(args) -> int:
 
     max_diff = 0.0
     for _ in range(args.samples):
-        a = _random_direction(rng)
-        b = _random_direction(rng)
-        beta = rng.uniform(0.0, 0.999) * _random_direction(rng)
+        a = random_direction(rng)
+        b = random_direction(rng)
+        beta = rng.uniform(0.0, 0.999) * random_direction(rng)
         max_diff = max(max_diff, abs(eprb_closed_form(a, b, beta) - eprb_oracle(a, b, beta)))
     passed = max_diff < 1e-12
     ok = ok and passed
@@ -249,9 +242,9 @@ def _cmd_selftest(args) -> int:
     direction = np.empty((count, 3))
     for k in range(count):
         for j in range(4):
-            axes[k, j] = _random_direction(rng)
+            axes[k, j] = random_direction(rng)
         speed[k] = rng.uniform(0.0, 0.999)
-        direction[k] = _random_direction(rng)
+        direction[k] = random_direction(rng)
     max_c = float(np.max(np.abs(chsh_batch(axes, speed, direction)[0])))
     passed = max_c <= bound
     ok = ok and passed
@@ -262,7 +255,15 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``relbell`` argument parser: one shared parser per process.
+
+    It is built on the first call and returned on every later one, so
+    repeated ``main`` calls in one process do not rebuild it. Parsing
+    leaves no state on it and every default is immutable, so each parse
+    behaves as on a freshly built parser.
+    """
     parser = _Parser(prog="relbell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -291,7 +292,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fig2", help="CHSH over motion directions at fixed speeds")
     p.add_argument("--grid", type=int, default=61, metavar="N")
-    p.add_argument("--beta-mag", type=_mags_arg, default=[0.99, 0.95], metavar="M1,M2,...")
+    p.add_argument("--beta-mag", type=_mags_arg, default=(0.99, 0.95), metavar="M1,M2,...")
     p.add_argument("--settings", type=_settings_arg, default=None, metavar="12-FLOATS")
     add_out(p)
     p.set_defaults(func=_cmd_fig2)

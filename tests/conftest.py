@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
+from relbell.kinematics import random_direction
+
 
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
-
-
-def random_direction(rng):
-    """Uniform unit vector on the sphere."""
-    while True:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
 
 
 def random_beta(rng, max_mag=0.999):

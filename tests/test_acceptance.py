@@ -26,6 +26,7 @@ from relbell.dirac import (
     spin_spectrum_check,
 )
 from relbell.kinematics import alpha_vector, orthonormal_triad, spin_structure_constants
+from relbell.kinematics import random_direction as _random_direction
 from relbell.linalg import max_abs, pauli_dot
 from relbell.observables import eprb_closed_form, eprb_oracle
 
@@ -38,14 +39,6 @@ Z = np.array([0.0, 0.0, 1.0])
 def _verdict(num, name, ok, detail):
     print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     return ok
-
-
-def _random_direction(rng):
-    while True:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
 
 
 def test_criterion_01_oracle_equivalence():

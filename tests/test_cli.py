@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end (driving main() directly)."""
 
+import argparse
 import json
 import math
 import os
@@ -10,13 +11,23 @@ import pytest
 from relbell import cli, dirac
 from relbell.bell import STANDARD_SETTINGS
 from relbell.cli import main
-from relbell.kinematics import BeamVelocity, alpha_vector
+from relbell.kinematics import BeamVelocity, alpha_vector, random_direction
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main() call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -249,9 +260,9 @@ class TestDiracCheck:
         p, m, a = [], [], []
         for _ in range(args.trials):
             p.append(args.p if args.p is not None
-                     else rng.uniform(0.3, 4.0) * cli._random_direction(rng))
+                     else rng.uniform(0.3, 4.0) * random_direction(rng))
             m.append(args.m if args.m is not None else float(rng.uniform(0.2, 3.0)))
-            a.append(cli._random_direction(rng))
+            a.append(random_direction(rng))
         (got_p, got_m, got_a), = seen
         assert np.array_equal(got_p, np.array(p))
         assert np.array_equal(got_m, np.array(m))
@@ -337,3 +348,66 @@ class TestSelftest:
         code2, second, _ = run(capsys, "selftest", "--samples", "20")
         assert code == code2 == 0
         assert first == second
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; every call must still
+    behave exactly as on a freshly built parser."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_interleaved_calls_match_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        rest = tmp_path / "rest.csv"
+        rest.write_text("beta_x,beta_y,beta_z,weight\n0,0,0,1\n")
+        fast = tmp_path / "fast.csv"
+        fast.write_text("beta_x,beta_y,beta_z,weight\n0.99,0,0,1\n")
+        argvs = [
+            ("correlate", "--a", "2,0,0", "--b", "0,1,0", "--beta", "0.6,0,0"),
+            ("correlate", "--a", "1,0,0", "--b", "0,1,0", "--beta", "2,0,0"),
+            ("correlate", "--a", "1,0,0", "--b", "0,1,0"),
+            ("chsh", "--beta", "0.99,0,0"),
+            ("chsh", "--beta", "0,0,0", "--settings", "1,0,0"),
+            ("chsh", "--help"),
+            ("fig1", "--grid", "3"),
+            ("fig2", "--grid", "3"),
+            ("fig2", "--grid", "3", "--beta-mag", "0.5,1.0"),
+            ("fig3", "--grid", "0"),
+            ("fig3", "--grid", "3"),
+            ("dirac-check", "--p", "0,0,0", "--m", "0"),
+            ("dirac-check", "--trials", "2", "--seed", "5"),
+            ("dirac-check", "--p", "1,0,0", "--m", "-1"),
+            ("crypto-audit", "--dist", str(rest)),
+            ("crypto-audit", "--dist", str(fast)),
+            ("crypto-audit", "--dist", str(rest), "--threshold", "3"),
+            ("selftest", "--samples", "5"),
+            ("frobnicate",),
+            (),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = [outcome(capsys, argv) for argv in argvs]
+        codes = {code for code, _, _ in fresh}
+        assert codes == {0, 1, 2, 3}, codes
+        order = [*range(len(argvs)), *reversed(range(len(argvs)))]
+        for k in order:
+            assert outcome(capsys, argvs[k]) == fresh[k], argvs[k]
+
+    def test_every_default_is_immutable(self):
+        subparsers, = (action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                assert isinstance(action.default, (type(None), int, float, str, tuple)), \
+                    (name, action.dest, action.default)
+
+    def test_a_changed_namespace_leaves_the_next_default_alone(self, capsys):
+        args = cli.build_parser().parse_args(["fig2"])
+        with pytest.raises(AttributeError):
+            args.beta_mag.append(0.5)
+        args.beta_mag += (0.5,)
+        assert cli.build_parser().parse_args(["fig2"]).beta_mag == (0.99, 0.95)
+        code, out, _ = run(capsys, "fig2", "--grid", "3")
+        assert code == 0
+        assert "# beta_magnitude=0.99,0.95\n" in out
+        assert "theta,phi,chsh_beta_0.99,chsh_beta_0.95\n" in out

@@ -56,6 +56,10 @@ class VelocityDistribution:
             raise ValueError("one weight per velocity sample required")
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be positive and finite")
+        finite = np.isfinite(betas).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"sample {k} has a non-finite component: {tuple(betas[k].tolist())}")
         mags = speeds(betas)
         bad = np.flatnonzero(mags >= 1.0)
         if bad.size:

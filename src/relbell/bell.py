@@ -148,13 +148,11 @@ def _chsh(axes, speed, direction):
     return values, degenerate
 
 
-def chsh_value(settings: ChshSettings, beta, correlation=None) -> float:
+def chsh_value(settings: ChshSettings, beta) -> float:
     """The CHSH combination at velocity beta, through ``chsh_batch``.
 
-    ``correlation`` may swap in an alternative correlation function with
-    the signature of ``eprb_closed_form`` (the matrix-oracle route is the
-    intended substitute). Raises DegenerateObservable naming the first
-    collapsed setting when |beta| = 1 makes an axis degenerate.
+    Raises DegenerateObservable naming the first collapsed setting when
+    |beta| = 1 makes an axis degenerate.
     """
     bv = BeamVelocity.of(beta)
     axes = settings.axes
@@ -163,14 +161,7 @@ def chsh_value(settings: ChshSettings, beta, correlation=None) -> float:
     if np.count_nonzero(degenerate):
         label = _LABELS[int(np.argmax(degenerate))]
         raise DegenerateObservable(f"setting {label} degenerate at |beta| = {bv.magnitude!r}")
-    if correlation is None:
-        return float(value)
-    return math.fsum([
-        correlation(settings.a, settings.b, bv),
-        correlation(settings.a, settings.b_prime, bv),
-        correlation(settings.a_prime, settings.b, bv),
-        -correlation(settings.a_prime, settings.b_prime, bv),
-    ])
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)

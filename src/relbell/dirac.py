@@ -21,7 +21,8 @@ Every identity is computed once, on stacked arrays: ``dirac_battery``
 runs all of them over N trials in one pass, in blocks of ``_BLOCK``
 trials. ``build_context`` and the ``*_check`` functions are the same
 code on a batch of one. Each check returns a :class:`CheckReport`
-carrying named residuals; a check whose residual exceeds tolerance
+carrying named residuals, each against the fixed tolerance that
+``_TOL`` gives its name; a check whose residual exceeds tolerance
 raises the matching error with the report attached, so callers can
 still serialize what failed.
 """
@@ -69,7 +70,7 @@ _SPECTRUM_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
 #: per trial, so the battery's memory does not grow with the trial count.
 _BLOCK = 1024
 
-#: Default tolerance of every record, in the order the checks report them.
+#: The tolerance of every record, in the order the checks report them.
 _TOL = {
     "spin_spectrum.eigenvalues": 1e-10,
     "spin_spectrum.commutes_with_hamiltonian": 1e-12,
@@ -177,10 +178,10 @@ class CheckReport:
         return [r.as_dict() for r in self.records]
 
 
-def _record(check: str, residual, tol: float) -> CheckRecord:
-    residual = float(residual)
-    return CheckRecord(check=check, max_residual=residual,
-                       tolerance=float(tol), passed=residual <= tol)
+def _record(check: str, residual) -> CheckRecord:
+    """The record of a residual against the tolerance ``_TOL`` gives its name."""
+    residual, tol = float(residual), _TOL[check]
+    return CheckRecord(check=check, max_residual=residual, tolerance=tol, passed=residual <= tol)
 
 
 def _finish(name: str, records, error_cls) -> CheckReport:
@@ -522,7 +523,7 @@ def dirac_battery(p, m, a) -> tuple:
     where p and m both vanish, and a . S Hermitian within herm_eig's tolerance
     (NonHermitianInput). Returns one :class:`CheckRecord` per record that
     applies to at least one trial (see ``_block``), in check order, with
-    the largest residual over those trials and the default tolerance.
+    the largest residual over those trials and its tolerance.
     Failing records are returned, not raised. Trials run in blocks of
     ``_BLOCK``; a trial's residuals do not depend on the others.
     """
@@ -541,21 +542,17 @@ def dirac_battery(p, m, a) -> tuple:
         for name, residuals in _block(p[block], m[block], a[block], first).items():
             if residuals.size:
                 worst[name] = np.maximum(worst.get(name, 0.0), residuals.max())
-    return tuple(_record(name, worst[name], tol) for name, tol in _TOL.items() if name in worst)
+    return tuple(_record(name, worst[name]) for name in _TOL if name in worst)
 
 
 # --- one-context wrappers over the batch code ---
 
-def _report(name, residuals: dict, tolerances, error_cls) -> CheckReport:
-    records = [_record(check, values[0], tol)
-               for (check, values), tol in zip(residuals.items(), tolerances)]
+def _report(name, residuals: dict, error_cls) -> CheckReport:
+    records = [_record(check, values[0]) for check, values in residuals.items()]
     return _finish(name, records, error_cls)
 
 
-def spin_spectrum_check(ops: DiracOperatorSet, a,
-                        eig_tol: float = _TOL["spin_spectrum.eigenvalues"],
-                        comm_tol: float = _TOL["spin_spectrum.commutes_with_hamiltonian"],
-                        ) -> CheckReport:
+def spin_spectrum_check(ops: DiracOperatorSet, a) -> CheckReport:
     """Spectrum of a . S against the alpha-map closed form.
 
     The four eigenvalues must be {-l, -l, +l, +l} with
@@ -563,8 +560,7 @@ def spin_spectrum_check(ops: DiracOperatorSet, a,
     and beta = p / p0, and a . S must commute with H.
     """
     a = check_unit(a, "analyzer axis")
-    return _report("spin_spectrum", _spin_spectrum(_stack(ops), a[None]),
-                   (eig_tol, comm_tol), SpectrumMismatch)
+    return _report("spin_spectrum", _spin_spectrum(_stack(ops), a[None]), SpectrumMismatch)
 
 
 def _require_massive_moving(ops, what: str) -> None:
@@ -593,13 +589,11 @@ def eigenstates(ops: DiracOperatorSet, a):
     return psi_plus[0], psi_minus[0]
 
 
-def eigenstate_check(ops: DiracOperatorSet, a,
-                     tol: float = _TOL["eigenstate.energy"]) -> CheckReport:
+def eigenstate_check(ops: DiracOperatorSet, a) -> CheckReport:
     """Residuals of the constructed eigenstates under H and a . S."""
     a = check_unit(a, "analyzer axis")
     _require_massive_moving(ops, "eigenstate construction")
-    return _report("eigenstate", _eigenstate(_stack(ops), a[None]), (tol, tol),
-                   EigenstateResidual)
+    return _report("eigenstate", _eigenstate(_stack(ops), a[None]), EigenstateResidual)
 
 
 def precession_frequency(ops: DiracOperatorSet) -> np.ndarray:
@@ -607,8 +601,7 @@ def precession_frequency(ops: DiracOperatorSet) -> np.ndarray:
     return _omega(np.asarray(ops.ctx.p))
 
 
-def precession_check(ops: DiracOperatorSet,
-                     tol: float = _TOL["precession.heisenberg_vs_cross"]) -> CheckReport:
+def precession_check(ops: DiracOperatorSet) -> CheckReport:
     """Heisenberg equation of the spin: i [H, s_k] = (omega x s)_k.
 
     For a massless particle omega additionally commutes with H, so the
@@ -618,14 +611,10 @@ def precession_check(ops: DiracOperatorSet,
     residuals = _precession(_stack(ops))
     if ops.ctx.m != 0.0:
         del residuals["precession.omega_commutes_with_hamiltonian"]
-    return _report("precession", residuals, (tol, tol), PrecessionMismatch)
+    return _report("precession", residuals, PrecessionMismatch)
 
 
-def hamiltonian_identity_check(ops: DiracOperatorSet,
-                               subspace_tol: float = _TOL["hamiltonian_identity.positive_subspace"],
-                               full_tol: float = _TOL["hamiltonian_identity.full_space"],
-                               even_tol: float = _TOL["hamiltonian_identity.omega_even"],
-                               ) -> CheckReport:
+def hamiltonian_identity_check(ops: DiracOperatorSet) -> CheckReport:
     """The Hamiltonian rebuilt from spin and precession: H = beta^-2 Omega . S.
 
     Omega is the even part of omega. The residual is reported on the full
@@ -633,14 +622,10 @@ def hamiltonian_identity_check(ops: DiracOperatorSet,
     the evenness of Omega itself. Requires m > 0 and |p| > 0.
     """
     _require_massive_moving(ops, "Hamiltonian identity")
-    return _report("hamiltonian_identity", _hamiltonian_identity(_stack(ops)),
-                   (full_tol, subspace_tol, subspace_tol, even_tol), IdentityMismatch)
+    return _report("hamiltonian_identity", _hamiltonian_identity(_stack(ops)), IdentityMismatch)
 
 
-def spin_form_agreement_check(ops: DiracOperatorSet,
-                              ratio_tol: float = _TOL["spin_forms.projector_vs_ratio"],
-                              explicit_tol: float = _TOL["spin_forms.explicit_vs_ratio"],
-                              ) -> CheckReport:
+def spin_form_agreement_check(ops: DiracOperatorSet) -> CheckReport:
     """Agreement of three expressions for the spin S.
 
     The stored W H^-1 form is compared against the energy-sign projector
@@ -648,25 +633,23 @@ def spin_form_agreement_check(ops: DiracOperatorSet,
 
         S = (m^2/p0^2) s + (p^2/p0^2)(n . s) n + i m/(2 p0^2) p x gamma.
     """
-    return _report("spin_forms", _spin_forms(_stack(ops)),
-                   (ratio_tol, explicit_tol, explicit_tol), IdentityMismatch)
+    return _report("spin_forms", _spin_forms(_stack(ops)), IdentityMismatch)
 
 
-def casimir_check(ops: DiracOperatorSet, tol: float = _TOL["casimir.invariant"]) -> CheckReport:
+def casimir_check(ops: DiracOperatorSet) -> CheckReport:
     """W0^2 - W . W = -(3/4) m^2, the spin-1/2 invariant."""
-    return _report("casimir", _casimir(_stack(ops)), (tol,), IdentityMismatch)
+    return _report("casimir", _casimir(_stack(ops)), IdentityMismatch)
 
 
-def evenness_check(ops: DiracOperatorSet, tol: float = _TOL["evenness.spin"]) -> CheckReport:
+def evenness_check(ops: DiracOperatorSet) -> CheckReport:
     """S (and Omega, when defined) must not mix the energy signs."""
     residuals = _evenness(_stack(ops))
     if ops.Omega is None:
         del residuals["evenness.omega"]
-    return _report("evenness", residuals, (tol, tol), IdentityMismatch)
+    return _report("evenness", residuals, IdentityMismatch)
 
 
-def massless_even_velocity_check(p, tol: float = _TOL["massless_velocity.hamiltonian"],
-                                 ) -> CheckReport:
+def massless_even_velocity_check(p) -> CheckReport:
     """For m = 0 the Hamiltonian is c . p with an even velocity operator.
 
     c is the velocity component along the motion, (v . p) p / p^2 with
@@ -677,7 +660,7 @@ def massless_even_velocity_check(p, tol: float = _TOL["massless_velocity.hamilto
     if not np.any(p):
         raise NullContext("massless check needs nonzero momentum")
     ctx = _context(p, np.zeros(1))
-    return _report("massless_velocity", _massless_velocity(ctx, _energy(ctx)[0]), (tol, tol),
+    return _report("massless_velocity", _massless_velocity(ctx, _energy(ctx)[0]),
                    IdentityMismatch)
 
 

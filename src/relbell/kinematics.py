@@ -122,8 +122,13 @@ class BeamVelocity:
         if isinstance(value, cls):
             return value
         beta = np.asarray(value, dtype=float).reshape(3)
-        # np.linalg.norm's own arithmetic, without its dispatch cost.
-        squares = float(beta.dot(beta))
+        # np.linalg.norm's own arithmetic, without its dispatch cost. The
+        # squares of components above 1e150 may overflow to inf: silently.
+        if max(map(abs, beta.tolist())) > 1e150:
+            with np.errstate(over="ignore"):
+                squares = float(beta.dot(beta))
+        else:
+            squares = float(beta.dot(beta))
         if not math.isfinite(squares) and not np.isfinite(beta).all():
             raise ValueError("velocity components must be finite")
         mag = math.sqrt(squares)

@@ -18,7 +18,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
 
-#: The largest entry of |a - a^H| that herm_eig accepts by default.
+#: The largest entry of |a - a^H| that herm_eig accepts.
 HERMITICITY_TOL = 1e-10
 
 
@@ -33,10 +33,10 @@ def dagger(a) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a, tol: float = 1e-12) -> bool:
-    """True when a equals its conjugate transpose within tol (entrywise)."""
+def is_hermitian(a) -> bool:
+    """True when a equals its conjugate transpose within 1e-12 (entrywise)."""
     a = np.asarray(a, dtype=complex)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= tol
+    return a.ndim == 2 and a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= 1e-12
 
 
 def pauli_dot(v) -> np.ndarray:
@@ -65,16 +65,16 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def phase_fixed(v, threshold: float = 1e-12) -> np.ndarray:
-    """Rescale a complex vector so its first component of non-negligible
-    magnitude is real and positive.
+def phase_fixed(v) -> np.ndarray:
+    """Rescale a complex vector so its first component of magnitude above
+    1e-12 is real and positive.
 
-    The vector keeps its norm. A vector with no component above the
-    threshold is returned unchanged.
+    The vector keeps its norm. A vector with no such component is
+    returned unchanged.
     """
     v = np.asarray(v, dtype=complex)
     for x in v.flat:
-        if abs(x) > threshold:
+        if abs(x) > 1e-12:
             return v * (abs(x) / x)
     return v
 
@@ -85,19 +85,19 @@ def hermitian_deviation(a) -> np.ndarray:
     return np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
 
 
-def herm_eig(a, hermiticity_tol: float = HERMITICITY_TOL):
+def herm_eig(a):
     """Eigendecomposition of a Hermitian matrix with fixed conventions.
 
     Returns (w, v): eigenvalues w ascending, eigenvectors as the columns
     of v, each unit-normalized with its first non-negligible component
     real positive. Raises NonHermitianInput when a deviates from its
-    conjugate transpose by more than hermiticity_tol in any entry.
+    conjugate transpose by more than HERMITICITY_TOL (1e-10) in any entry.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"herm_eig needs a square matrix, got shape {a.shape}")
     deviation = float(hermitian_deviation(a))
-    if deviation > hermiticity_tol:
+    if deviation > HERMITICITY_TOL:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {deviation:.3e}")
     # Symmetrize before calling LAPACK; a bitwise no-op for exactly
     # Hermitian input, and it halves the error for almost-Hermitian input.

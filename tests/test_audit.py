@@ -230,6 +230,13 @@ class TestFromSamples:
         with pytest.raises(SuperluminalSample, match="sample 1"):
             VelocityDistribution.from_samples(betas, [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_names_sample(self, bad):
+        betas = [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]
+        with pytest.raises(ValueError) as excinfo:
+            VelocityDistribution.from_samples(betas, [1.0, 1.0])
+        assert str(excinfo.value) == f"sample 1 has a non-finite component: {(bad, 0.0, 0.0)!r}"
+
     def test_weight_count_mismatch(self):
         with pytest.raises(ValueError):
             VelocityDistribution.from_samples([[0.0, 0.0, 0.0]], [1.0, 2.0])

@@ -74,7 +74,10 @@ class TestChshValue:
     def test_oracle_route_agrees(self):
         beta = in_plane(0.9, math.pi / 4)
         closed = chsh_value(STANDARD_SETTINGS, beta)
-        oracle = chsh_value(STANDARD_SETTINGS, beta, correlation=eprb_oracle)
+        s = STANDARD_SETTINGS
+        oracle = math.fsum([eprb_oracle(s.a, s.b, beta), eprb_oracle(s.a, s.b_prime, beta),
+                            eprb_oracle(s.a_prime, s.b, beta),
+                            -eprb_oracle(s.a_prime, s.b_prime, beta)])
         assert abs(closed - oracle) < 1e-12
 
     def test_luminal_sign_correlations_hit_classical_bound(self):

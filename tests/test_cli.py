@@ -95,7 +95,14 @@ class TestChsh:
     def test_in_plane_suppression(self, capsys):
         code, out, _ = run(capsys, "chsh", "--beta", "0.99,0,0")
         assert code == 0
-        assert abs(float(out) + 2.2597608606534427) < 1e-12
+        assert out == "-2.2597608606534414\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_beta_is_usage_error_without_warning(self, capsys):
+        code, out, err = outcome(capsys, ["chsh", "--beta=1e200,0,0"])
+        assert (code, out) == (1, "")
+        assert err.endswith("error: argument --beta: superluminal velocity |beta| = inf > 1\n")
+        assert "Warning" not in err
 
     def test_custom_settings(self, capsys):
         s = "0.7071067811865476"

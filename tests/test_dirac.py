@@ -144,10 +144,11 @@ class TestSpinSpectrum:
             assert report.passed
             assert report.max_residual < 1e-12
 
-    def test_failure_carries_report(self):
+    def test_failure_carries_report(self, monkeypatch):
+        monkeypatch.setitem(dirac._TOL, "spin_spectrum.eigenvalues", 0.0)
         ops = build_context(np.array([1.0, 2.0, 2.0]), 1.7)
         with pytest.raises(SpectrumMismatch) as exc:
-            spin_spectrum_check(ops, unit([1.0, 2.0, 3.0]), eig_tol=0.0)
+            spin_spectrum_check(ops, unit([1.0, 2.0, 3.0]))
         report = exc.value.report
         assert report is not None
         assert not report.passed
@@ -181,10 +182,10 @@ class TestEigenstates:
 
     def test_ultrarelativistic_conditioning(self):
         # |p| / m = 100 stresses the sqrt(p0 - m) branch; the residuals
-        # stay below a slightly relaxed tolerance.
+        # (~1e-14) stay below the fixed tolerance.
         ops = build_context(100.0 * X, 1.0)
-        assert eigenstate_check(ops, Y, tol=1e-9).passed
-        assert eigenstate_check(ops, unit([1.0, 1.0, 0.0]), tol=1e-9).passed
+        assert eigenstate_check(ops, Y).passed
+        assert eigenstate_check(ops, unit([1.0, 1.0, 0.0])).passed
 
     def test_requires_massive_moving_particle(self):
         with pytest.raises(ValueError):
@@ -192,10 +193,12 @@ class TestEigenstates:
         with pytest.raises(ValueError):
             eigenstates(build_context(np.zeros(3), 1.0), X)
 
-    def test_failure_carries_report(self):
+    def test_failure_carries_report(self, monkeypatch):
+        monkeypatch.setitem(dirac._TOL, "eigenstate.energy", 0.0)
+        monkeypatch.setitem(dirac._TOL, "eigenstate.spin_projection", 0.0)
         ops = build_context(np.array([0.4, 0.1, 1.0]), 1.1)
         with pytest.raises(EigenstateResidual) as exc:
-            eigenstate_check(ops, unit([2.0, -1.0, 0.5]), tol=0.0)
+            eigenstate_check(ops, unit([2.0, -1.0, 0.5]))
         assert not exc.value.report.passed
 
 

@@ -103,12 +103,13 @@ class TestHermEig:
         with pytest.raises(DimensionMismatch):
             herm_eig(np.zeros((2, 3), dtype=complex))
 
-    def test_hermiticity_tolerance_is_adjustable(self):
-        a = np.array([[1.0, 1e-6], [0.0, -1.0]], dtype=complex)
+    def test_hermiticity_tolerance_is_fixed(self):
+        # The tolerance is fixed at 1e-10: a 1e-6 deviation is rejected,
+        # a 1e-11 one is symmetrized away.
         with pytest.raises(NonHermitianInput):
-            herm_eig(a)
-        w, _ = herm_eig(a, hermiticity_tol=1e-3)
-        assert_allclose(w, [-1.0, 1.0], atol=1e-5)
+            herm_eig(np.array([[1.0, 1e-6], [0.0, -1.0]], dtype=complex))
+        w, _ = herm_eig(np.array([[1.0, 1e-11], [0.0, -1.0]], dtype=complex))
+        assert_allclose(w, [-1.0, 1.0], atol=1e-15)
 
 
 class TestPhaseFixed:

@@ -41,8 +41,17 @@ _TERM_SIGNS = np.array([[-1.0, -1.0], [-1.0, 1.0]])
 # Rows that ScanTable.to_csv formats at once; bounds the memory its cell
 # strings take on large grids.
 _CSV_BLOCK_ROWS = 1 << 10
-# Rows of CHSH terms that _chsh hands to math.fsum as one list.
-_FSUM_BLOCK_ROWS = 1 << 10
+# Rows of CHSH terms that _row_sums takes at once, so that large batches
+# build no large temporaries. Each row's value is the correctly rounded sum
+# of its four terms, bit-identical to math.fsum: blocks of at least
+# _VECTOR_SUM_MIN_ROWS rows compute it with error-free transforms and a
+# per-row certificate, smaller ones with math.fsum: up to ~150 rows,
+# numpy's fixed cost per call outweighs fsum's cost per row.
+_FSUM_BLOCK_ROWS = 1 << 14
+_VECTOR_SUM_MIN_ROWS = 160
+# Terms at most this large keep every partial sum finite, both here and in
+# math.fsum; a block with a larger or non-finite term goes to fsum whole.
+_VECTOR_SUM_MAX_TERM = 2.0**1020
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +112,10 @@ def chsh_batch(axes, speed, direction):
     Returns (values, degenerate): ``degenerate`` (batch + (4,)) marks the
     settings with |alpha|^2 = (1 - beta^2) + beta^2 (n.a)^2 at most
     DEGENERACY_THRESHOLD^2, and ``values`` (batch) is NaN there. Each
-    value is the math.fsum of its four terms, so the standard settings
-    at rest give exactly the rounding of -2 sqrt(2).
+    value is the correctly rounded sum of its four terms, bit-identical
+    to math.fsum; large batches compute it with error-free transforms and
+    a per-row certificate. So the standard settings at rest give exactly
+    the rounding of -2 sqrt(2).
     """
     axes = np.asarray(axes, dtype=float)
     speed = np.asarray(speed, dtype=float)
@@ -137,15 +148,65 @@ def _chsh(axes, speed, direction):
     terms += rest[..., None] * np.einsum("...ij,...kj->...ik", axes[..., :2, :], axes[..., 2:, :])
     terms /= length[..., :2, None] * length[..., None, 2:]
     terms *= _TERM_SIGNS
-    # Rows go to math.fsum in blocks, so that no list of all rows is built.
-    flat = terms.reshape(-1, 4)
-    values = np.empty(len(flat))
-    for k in range(0, len(flat), _FSUM_BLOCK_ROWS):
-        values[k:k + _FSUM_BLOCK_ROWS] = list(map(math.fsum, flat[k:k + _FSUM_BLOCK_ROWS].tolist()))
-    values = values.reshape(terms.shape[:-2])
+    values = _row_sums(terms.reshape(-1, 4)).reshape(terms.shape[:-2])
     if any_degenerate:
         values[degenerate.any(axis=-1)] = math.nan
     return values, degenerate
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: s = fl(a + b) and the error, a + b - s exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _certified_sums(block):
+    """Sums of the rows of an (N, 4) block, and the rows they may miss.
+
+    TwoSum over the columns splits each row's exact sum S into
+    s + e1 + e2 + e3, and TwoSum over the errors into r + d + f1 + f2,
+    with r = fl(s + t) and t the rounded sum of the errors. r is the
+    correctly rounded S when f1 = f2 = 0 (then S = s + t exactly), or
+    when fl(|d| + 2 fl(|f1| + |f2|)) < h, h half the gap from |r| down to
+    its lower neighbour, the smaller of its two gaps: rounding is
+    monotone and h is a power of two, so that proves |S - r| < h.
+    Returns (r, doubtful), doubtful marking the rows neither test clears,
+    exact zeros and non-finite sums included.
+    """
+    s, e1 = _two_sum(block[:, 0], block[:, 1])
+    s, e2 = _two_sum(s, block[:, 2])
+    s, e3 = _two_sum(s, block[:, 3])
+    u, f1 = _two_sum(e1, e2)
+    t, f2 = _two_sum(u, e3)
+    r, d = _two_sum(s, t)
+    # Free the intermediates before the certificate's temporaries, for a
+    # lower peak memory.
+    del s, e1, e2, e3, u, t
+    mag = np.abs(r)
+    half_gap = (mag - np.nextafter(mag, 0.0)) * 0.5
+    sure = np.abs(d) + 2.0 * (np.abs(f1) + np.abs(f2)) < half_gap
+    sure |= (f1 == 0.0) & (f2 == 0.0)
+    sure &= np.isfinite(r) & (r != 0.0)
+    return r, ~sure
+
+
+def _row_sums(flat):
+    """The sum of each row of an (N, 4) array, bit-identical to math.fsum
+    of the row: certified error-free sums in blocks of _FSUM_BLOCK_ROWS,
+    with math.fsum for small blocks, for blocks with a term beyond
+    _VECTOR_SUM_MAX_TERM and for the rows the certificate cannot clear."""
+    values = np.empty(len(flat))
+    for k in range(0, len(flat), _FSUM_BLOCK_ROWS):
+        block = flat[k:k + _FSUM_BLOCK_ROWS]
+        out = values[k:k + _FSUM_BLOCK_ROWS]
+        rows = slice(None)
+        if (len(block) >= _VECTOR_SUM_MIN_ROWS and block.max() <= _VECTOR_SUM_MAX_TERM
+                and block.min() >= -_VECTOR_SUM_MAX_TERM):
+            out[:], doubtful = _certified_sums(block)
+            rows = np.flatnonzero(doubtful)
+        out[rows] = list(map(math.fsum, block[rows].tolist()))
+    return values
 
 
 def chsh_value(settings: ChshSettings, beta) -> float:

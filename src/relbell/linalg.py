@@ -33,12 +33,6 @@ def dagger(a) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a) -> bool:
-    """True when a equals its conjugate transpose within 1e-12 (entrywise)."""
-    a = np.asarray(a, dtype=complex)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= 1e-12
-
-
 def pauli_dot(v) -> np.ndarray:
     """The 2x2 matrix v . sigma for a real 3-vector v."""
     v = np.asarray(v, dtype=float)

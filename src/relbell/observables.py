@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateObservable
 from .kinematics import BeamVelocity, alpha_norm, alpha_vector, check_unit
-from .linalg import ID2, kron, max_abs, pauli_dot, phase_fixed
+from .linalg import kron, pauli_dot, phase_fixed
 
 #: |alpha| at or below this length counts as a collapsed (degenerate) axis.
 DEGENERACY_THRESHOLD = 1e-12
@@ -161,15 +161,3 @@ def eprb_oracle(a, b, beta) -> float:
     if abs(value.imag) >= 1e-13:
         raise ArithmeticError(f"correlation developed an imaginary part: {value!r}")
     return value.real
-
-
-def total_helicity_residual(n) -> float:
-    """Max-norm of (n.sigma x 1 + 1 x n.sigma) applied to the singlet.
-
-    Zero up to rounding: the singlet carries zero total helicity about
-    any axis.
-    """
-    n = check_unit(n, "helicity axis")
-    psi = singlet_state(n).amplitudes
-    op = kron(pauli_dot(n), ID2) + kron(ID2, pauli_dot(n))
-    return max_abs(op @ psi)

@@ -1,6 +1,7 @@
 """Tests for CHSH combinations, velocity scans, and the settings calibration."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +194,173 @@ class TestChshBatch:
             chsh_batch(bent, 0.5, z)
         with pytest.raises(ValueError, match="shape"):
             chsh_batch(axes[:3], 0.5, z)
+
+
+def fsum_rows(flat):
+    """math.fsum of each row of an (N, 4) array, as the kernel first
+    summed its terms."""
+    return np.array(list(map(math.fsum, flat.tolist())), dtype=float).reshape(len(flat))
+
+
+def rowwise_chsh(axes, speed, direction):
+    """chsh_batch with every row summed by math.fsum: the oracle for the
+    certified vector row sum."""
+    with mock.patch.object(bell, "_row_sums", fsum_rows):
+        return chsh_batch(axes, speed, direction)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _signs(rng, shape):
+    return rng.choice([-1.0, 1.0], size=shape)
+
+
+def _ties(rng, n, offset):
+    """m plus or minus half the gap above m, an exact tie between two
+    doubles, moved by offset * m."""
+    m = rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-30, 30, n)
+    return np.column_stack([m, _signs(rng, n) * np.spacing(m) / 2, _signs(rng, n) * offset * m,
+                            np.zeros(n)])
+
+
+def _below_powers_of_two(rng, n):
+    """Sums on or next to the tie between a power of two p and its lower
+    neighbour, where the gap below p is half the gap above."""
+    p = _signs(rng, n) * 2.0 ** rng.integers(-30, 30, n)
+    return np.column_stack([p, -p * 2.0**-54, p * 2.0**-110 * rng.integers(-1, 2, n),
+                            p * 2.0**-170 * rng.normal(size=n) * rng.integers(0, 2, n)])
+
+
+def _near_cancellation(rng, n):
+    a, b = rng.normal(size=(2, n))
+    return np.column_stack([a, b, -a * (1.0 + rng.integers(-3, 4, n) * 2.0**-52), -b])
+
+
+def _signed_zeros(rng, n):
+    """All 16 patterns of signed zeros in turn."""
+    return np.copysign(0.0, 1.0 - 2.0 * ((np.arange(n)[:, None] >> np.arange(4)) & 1))
+
+
+#: Families of rows whose correctly rounded sums are hard to get right.
+ROW_FAMILIES = {
+    "normal": lambda rng, n: rng.normal(size=(n, 4)),
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 4)),
+    "exact_cancellation": lambda rng, n: np.repeat(rng.normal(size=(n, 2)), 2, 1) * [1, -1, 1, -1],
+    "near_cancellation": _near_cancellation,
+    "exact_ties": lambda rng, n: _ties(rng, n, 0.0),
+    "ties_at_one": lambda rng, n: np.tile([1.0, 2.0**-53, 0.0, 0.0], (n, 1)),
+    "near_ties": lambda rng, n: _ties(rng, n, 2.0**-120),
+    "below_powers_of_two": _below_powers_of_two,
+    "signed_zeros": _signed_zeros,
+    "subnormal": lambda rng, n: rng.normal(size=(n, 4)) * 2.0**-1060,
+    "mixed_exponents": lambda rng, n: (rng.normal(size=(n, 4))
+                                       * 2.0 ** rng.integers(-60, 60, (n, 4))),
+}
+
+
+def hard_rows(rng, n):
+    """n rows, each from a random family in ROW_FAMILIES, with its four
+    terms in random order."""
+    stack = np.stack([family(rng, n) for family in ROW_FAMILIES.values()])
+    rows = stack[rng.integers(len(stack), size=n), np.arange(n)]
+    return rng.permuted(rows, axis=1)
+
+
+def sphere_directions(grid):
+    """The motion directions of fig2: a grid of polar and azimuthal angles."""
+    th, phi = np.meshgrid(np.linspace(0.0, math.pi, grid), np.linspace(0.0, 2.0 * math.pi, grid),
+                          indexing="ij")
+    return np.stack([np.cos(phi) * np.sin(th), np.sin(phi) * np.sin(th), np.cos(th)], -1)
+
+
+def isotropic_sample(rng, n):
+    """Speeds uniform up to 0.999 in directions uniform on the sphere."""
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return rng.uniform(0.0, 0.999, n), direction
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("family", ROW_FAMILIES)
+    def test_bit_identical_to_fsum_on_each_family(self, family, rng):
+        rows = rng.permuted(ROW_FAMILIES[family](rng, 20_000), axis=1)
+        assert_same_bits(bell._row_sums(rows), fsum_rows(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+           block=st.sampled_from([1, 7, 256]), cutoff=st.sampled_from([1, 7, 256]))
+    def test_bit_identical_to_fsum_across_blocks(self, seed, n, block, cutoff):
+        # Small blocks and cutoffs put block boundaries and both paths
+        # inside every batch.
+        rows = hard_rows(np.random.default_rng(seed), n)
+        with mock.patch.object(bell, "_FSUM_BLOCK_ROWS", block), \
+                mock.patch.object(bell, "_VECTOR_SUM_MIN_ROWS", cutoff):
+            assert_same_bits(bell._row_sums(rows), fsum_rows(rows))
+
+    def test_cutoff_picks_the_path(self, rng):
+        cutoff = bell._VECTOR_SUM_MIN_ROWS
+        for n in (cutoff - 1, cutoff, cutoff + 1):
+            rows = hard_rows(rng, n)
+            with mock.patch.object(bell, "_certified_sums", wraps=bell._certified_sums) as spy:
+                assert_same_bits(bell._row_sums(rows), fsum_rows(rows))
+            assert spy.called == (n >= cutoff)
+
+    def test_certificate_clears_exact_ties_and_kernel_rows(self, rng):
+        # Ties need the f1 = f2 = 0 test: |S - r| is then exactly half a gap.
+        for ties in (ROW_FAMILIES["exact_ties"](rng, 1000), ROW_FAMILIES["ties_at_one"](rng, 10)):
+            sums, doubtful = bell._certified_sums(ties)
+            assert not doubtful.any()
+            assert_same_bits(sums, fsum_rows(ties))
+        # No row of fig3 on a 61 x 61 grid needs math.fsum.
+        with mock.patch.object(bell, "_row_sums", wraps=bell._row_sums) as spy:
+            scan_beta_phi(STANDARD_SETTINGS, np.linspace(0.0, 0.999, 61),
+                          np.linspace(0.0, 2.0 * math.pi, 61))
+        (terms,), _ = spy.call_args
+        assert len(terms) == 61 * 61
+        assert not bell._certified_sums(terms)[1].any()
+
+    def test_non_finite_and_huge_terms_go_to_fsum(self):
+        rows = np.tile([0.25, -1.0, 3.0, 0.5], (400, 1))
+        rows[3] = [math.inf, 1.0, 2.0, 3.0]
+        rows[7] = [math.nan, 1.0, 2.0, 3.0]
+        rows[11] = [1e308, -1e308, 1e300, 5.0]
+        assert_same_bits(bell._row_sums(rows), fsum_rows(rows))
+        # max + 2**970 rounds to inf, so math.fsum overflows in a partial
+        # sum here; the error-free transforms alone would return 2**970.
+        big = sys.float_info.max
+        huge = np.tile([big, 2.0**969, 2.0**969, -big], (400, 1))
+        for row_sums in (fsum_rows, bell._row_sums):
+            with pytest.raises(OverflowError):
+                row_sums(huge)
+
+    @pytest.mark.parametrize("batch", ["fig2", "fig3", "audit"])
+    def test_kernel_matches_rowwise_chsh(self, batch, rng):
+        phis = np.linspace(0.0, 2.0 * math.pi, 61)
+        speed, direction = {
+            "fig2": lambda: (np.array([0.9, 0.99, 1.0]), sphere_directions(61)[:, :, None, :]),
+            "fig3": lambda: (np.linspace(0.0, 0.999, 61)[:, None],
+                             np.array([in_plane(1.0, phi) for phi in phis])),
+            "audit": lambda: isotropic_sample(rng, 20_000),
+        }[batch]()
+        axes = STANDARD_SETTINGS.axes
+        values, degenerate = chsh_batch(axes, speed, direction)
+        want, want_degenerate = rowwise_chsh(axes, speed, direction)
+        assert values.size >= bell._VECTOR_SUM_MIN_ROWS
+        assert_same_bits(values, want)
+        assert np.array_equal(np.isnan(values), np.isnan(want))
+        assert np.array_equal(degenerate, want_degenerate)
+        if batch == "fig2":
+            assert degenerate.any() and not degenerate[..., :2, :].any()
+
+    def test_rest_frame_bit_exact_on_the_vector_path(self, rng):
+        n = bell._VECTOR_SUM_MIN_ROWS + 1
+        with mock.patch.object(bell, "_certified_sums", wraps=bell._certified_sums) as spy:
+            values, _ = chsh_batch(STANDARD_SETTINGS.axes, np.zeros(n), isotropic_sample(rng, n)[1])
+        assert spy.called
+        assert values.tolist() == [-2.8284271247461903] * n
 
 
 class TestScanBetaPhi:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from relbell.errors import DimensionMismatch, NonHermitianInput
 from relbell.linalg import (
+    HERMITICITY_TOL,
     ID2,
     SIGMA_X,
     SIGMA_Y,
@@ -15,7 +16,7 @@ from relbell.linalg import (
     commutator,
     dagger,
     herm_eig,
-    is_hermitian,
+    hermitian_deviation,
     kron,
     max_abs,
     pauli_dot,
@@ -162,9 +163,9 @@ class TestHelpers:
         expected = 0.3 * SIGMA_X - 0.4 * SIGMA_Y + 1.2 * SIGMA_Z
         assert_allclose(pauli_dot(v), expected, atol=1e-15)
 
-    def test_is_hermitian(self):
-        assert is_hermitian(SIGMA_Y)
-        assert not is_hermitian(SIGMA_Y + 1e-6 * np.array([[0, 1], [0, 0]]))
+    def test_hermitian_deviation(self):
+        assert hermitian_deviation(SIGMA_Y) == 0.0
+        assert hermitian_deviation(SIGMA_Y + 1e-6 * np.array([[0, 1], [0, 0]])) > HERMITICITY_TOL
 
     def test_max_abs(self):
         assert max_abs(np.zeros((2, 2), dtype=complex)) == 0.0

@@ -18,7 +18,6 @@ from relbell.observables import (
     helicity_basis,
     singlet_state,
     spin_observable,
-    total_helicity_residual,
 )
 
 X = np.array([1.0, 0.0, 0.0])
@@ -73,6 +72,17 @@ class TestHelicityBasis:
         h = pauli_dot(-Z)
         assert max_abs(h @ plus - plus) < 1e-12
         assert max_abs(h @ minus + minus) < 1e-12
+
+
+def total_helicity_residual(n) -> float:
+    """Max-norm of (n.sigma x 1 + 1 x n.sigma) applied to the singlet.
+
+    Zero up to rounding: the singlet carries zero total helicity about
+    any axis.
+    """
+    psi = singlet_state(n).amplitudes
+    op = kron(pauli_dot(n), ID2) + kron(ID2, pauli_dot(n))
+    return max_abs(op @ psi)
 
 
 class TestSingletState:

@@ -73,12 +73,18 @@ class VelocityDistribution:
 def load_distribution(text: str) -> VelocityDistribution:
     """Parse CSV text into a velocity distribution.
 
-    Errors carry 1-based line numbers: ParseError for a bad header, a
-    malformed number, a wrong column count, or a non-positive weight;
+    Errors carry 1-based line numbers: ParseError for a record the CSV
+    reader rejects, a bad header, a malformed number, a wrong column
+    count, or a non-positive weight;
     SuperluminalSample for |beta| >= 1; EmptyDistribution when no data
     rows remain. Line numbers count CSV records, blank ones included.
     """
-    records = list(csv.reader(io.StringIO(text)))
+    records = []
+    try:
+        # extend keeps the records read before a failing one.
+        records.extend(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(f"line {len(records) + 1}: {exc}") from exc
     first = next((k for k, row in enumerate(records) if row), None)
     if first is None:
         raise EmptyDistribution("distribution text is empty")

@@ -38,9 +38,10 @@ _SQ2 = math.sqrt(0.5)
 _LABELS = ("a", "a_prime", "b", "b_prime")
 # Signs of -E in the CHSH terms, as a (a, a') x (b, b') table.
 _TERM_SIGNS = np.array([[-1.0, -1.0], [-1.0, 1.0]])
-# Rows that ScanTable.to_csv formats at once; bounds the memory its cell
-# strings take on large grids.
-_CSV_BLOCK_ROWS = 1 << 10
+# Rows that ScanTable.to_csv formats at once: each distinct value of a block
+# is repr'd once, and the block bounds the memory its cell strings take on
+# large grids. A 61 x 61 table is one block.
+_CSV_BLOCK_ROWS = 1 << 12
 # Rows of CHSH terms that _row_sums takes at once, so that large batches
 # build no large temporaries. Each row's value is the correctly rounded sum
 # of its four terms, bit-identical to math.fsum: blocks of at least
@@ -261,9 +262,10 @@ class ScanTable:
         lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         lines.append(",".join(self.axes + self.columns))
         parts = ["\n".join(lines), "\n"]
-        # Column at a time: each grid coordinate and each value is repr'd
-        # once, gap rows are overwritten, and the rows are the zipped
-        # columns joined, a block of rows at a time.
+        # Column at a time: each grid coordinate is repr'd once, and each
+        # distinct value of a block of rows once (told apart by its bits, so
+        # that -0.0 stays apart from 0.0); gap rows are overwritten, and the
+        # rows are the zipped columns joined, a block of rows at a time.
         coord_text = [np.array(list(map(repr, np.asarray(c, dtype=float).tolist())), dtype=object)
                       for c in self.coords]
         strides = [math.prod(shape[d + 1:]) for d in range(len(shape))]
@@ -277,7 +279,10 @@ class ScanTable:
             index = np.arange(start, stop)
             cols = [text[(index // stride) % len(text)].tolist()
                     for text, stride in zip(coord_text, strides)]
-            cols += [list(map(repr, col)) for col in values[start:stop].T.tolist()]
+            block = values[start:stop]
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            distinct = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+            cols += distinct[inverse.reshape(block.shape)].T.tolist()
             for k in np.flatnonzero(gap[start:stop]).tolist():
                 for col in cols[len(shape):]:
                     col[k] = "degenerate"

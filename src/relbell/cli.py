@@ -70,16 +70,30 @@ def _floats(text: str, count: int):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _unit_arg(values, name: str):
+    """values / |values| for a finite nonzero vector, with a warning on
+    stderr when it was not unit length.
+
+    |v| is sqrt(v . v), np.linalg.norm's arithmetic, except where
+    components beyond 1e150 or all below 1e-150 would make the squares
+    overflow or underflow: there it is math.hypot.
+    """
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"{name} components must be finite")
+    v = np.array(values)
+    if 1e-150 <= max(map(abs, values)) <= 1e150:
+        norm = math.sqrt(v.dot(v))
+    else:
+        norm = math.hypot(*values)
+    if norm == 0.0:
+        raise argparse.ArgumentTypeError(f"{name} must be a nonzero vector")
+    if abs(norm - 1.0) > 1e-12:
+        sys.stderr.write(f"warning: {name} normalized from |v|={norm!r}\n")
+    return v / norm
+
+
 def _direction_arg(flag: str):
-    def parse(text: str):
-        v = np.array(_floats(text, 3))
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise argparse.ArgumentTypeError(f"{flag} must be a nonzero vector")
-        if abs(norm - 1.0) > 1e-12:
-            sys.stderr.write(f"warning: {flag} normalized from |v|={norm!r}\n")
-        return v / norm
-    return parse
+    return lambda text: _unit_arg(_floats(text, 3), flag)
 
 
 def _beta_arg(text: str):
@@ -92,16 +106,8 @@ def _beta_arg(text: str):
 
 def _settings_arg(text: str):
     vals = _floats(text, 12)
-    axes = []
-    for k, label in enumerate(("a", "a_prime", "b", "b_prime")):
-        v = np.array(vals[3 * k:3 * k + 3])
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise argparse.ArgumentTypeError(f"settings axis {label} must be nonzero")
-        if abs(norm - 1.0) > 1e-12:
-            sys.stderr.write(f"warning: settings axis {label} normalized from |v|={norm!r}\n")
-        axes.append(v / norm)
-    return ChshSettings(a=axes[0], a_prime=axes[1], b=axes[2], b_prime=axes[3])
+    return ChshSettings(*(_unit_arg(vals[3 * k:3 * k + 3], f"settings axis {label}")
+                          for k, label in enumerate(("a", "a_prime", "b", "b_prime"))))
 
 
 def _mags_arg(text: str):

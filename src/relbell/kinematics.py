@@ -59,10 +59,11 @@ def random_direction(rng) -> np.ndarray:
 
 
 def check_unit(v, name: str = "direction") -> np.ndarray:
-    """Validate that v is a unit 3-vector within 1e-12 and return it."""
+    """Validate that v is a unit 3-vector within 1e-12 and return it; a
+    non-finite component fails too."""
     v = np.asarray(v, dtype=float).reshape(3)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _UNIT_TOL:
+    if not (abs(norm - 1.0) <= _UNIT_TOL):
         raise ValueError(f"{name} must be a unit vector, got |v| = {norm!r}")
     return v
 

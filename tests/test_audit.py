@@ -95,8 +95,13 @@ def rowwise_load_distribution(text):
     """load_distribution as first written, one row at a time: the oracle
     for the batch loader. One change: the speed check is
     ``kinematics.speeds``, the predicate every check now shares, where
-    it was math.hypot."""
-    rows = list(csv.reader(io.StringIO(text)))
+    it was math.hypot; a record the CSV reader rejects is a ParseError too."""
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            rows.append(row)
+    except csv.Error as exc:
+        raise ParseError(f"line {len(rows) + 1}: {exc}") from exc
     rows = [(k + 1, row) for k, row in enumerate(rows) if row]
     if not rows:
         raise EmptyDistribution("distribution text is empty")
@@ -171,6 +176,21 @@ class TestBatchLoaderMatchesRowLoader:
     ])
     def test_fixed_hostile_inputs(self, text):
         assert outcome(load_distribution, text) == outcome(rowwise_load_distribution, text)
+
+    @pytest.mark.parametrize("text", [
+        HEADER + "0.1,0,0," + "1" * 200_000 + "\n",
+        HEADER + "0.1,0,0,1\n\n0," + "0" * 140_000 + ",0,1\n0,0,0,0\n",
+        HEADER + '0.1,0,0,1\n"0.1\n' + "2" * 140_000 + '",0,0,1\n',
+        HEADER + "0.1,0,0,1\n0,0,0,0\n0," + "0" * 140_000 + ",0,1\n",
+    ], ids=["weight", "after_blank", "quoted_newline", "after_bad_weight"])
+    def test_field_beyond_the_csv_limit(self, text):
+        # csv.reader rejects a field longer than csv.field_size_limit().
+        assert outcome(load_distribution, text) == outcome(rowwise_load_distribution, text)
+
+    def test_field_beyond_the_csv_limit_names_its_record(self):
+        text = HEADER + "0.1,0,0,1\n\n0,0,0," + "1" * 200_000 + "\n"
+        with pytest.raises(ParseError, match=r"^line 4: field larger than field limit"):
+            load_distribution(text)
 
     def test_large_valid_input(self, rng):
         betas = np.array([random_beta(rng, 0.999) for _ in range(3000)])

@@ -520,33 +520,85 @@ def rowwise_to_csv(table):
 cell_values = st.floats(allow_nan=False, allow_infinity=True, width=64)
 
 
+# Values that a table may repeat: both zeros, a value and its neighbours one
+# ulp away on either side, their negations, and values of other magnitudes.
+_POOL_BASE = [0.1, 2.0 * math.sqrt(2.0), 1.0, 1e-300, 5e-324, 1e308]
+VALUE_POOL = np.array(
+    [0.0, -0.0]
+    + [y for x in _POOL_BASE for y in (x, np.nextafter(x, 0.0), np.nextafter(x, math.inf))]
+    + [-x for x in _POOL_BASE] + [np.nextafter(-x, -math.inf) for x in _POOL_BASE]
+)
+
+
+def with_layout(values, layout):
+    """values, the same numbers in the memory layout named: C order, F
+    order (a transposed copy, transposed back), or every other element of
+    the last axis of a larger array."""
+    if layout == "fortran":
+        return np.ascontiguousarray(values.T).T
+    if layout == "strided":
+        wide = np.full(values.shape[:-1] + (2 * values.shape[-1],), 7.5)
+        wide[..., ::2] = values
+        return wide[..., ::2]
+    return values
+
+
 @st.composite
 def scan_tables(draw):
     """Tables of 1 to 3 axes and 1 to 3 columns with no, some or all grid
-    points as gaps; axis lengths up to 9 give up to 729 rows."""
+    points as gaps; axis lengths up to 9 give up to 729 rows. Values are
+    spread over magnitudes, so that none repeats, or drawn from VALUE_POOL,
+    so that repeats, signed zeros and neighbours one ulp apart share row
+    blocks; the values array is in C order, F order or strided."""
     shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
     columns = tuple(f"c{k}" for k in range(draw(st.integers(1, 3))))
     coords = tuple(np.array(draw(st.lists(cell_values, min_size=n, max_size=n))) for n in shape)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=shape + (len(columns),)) * 10.0 ** rng.integers(-300, 300, size=shape + (1,))
+    source = draw(st.sampled_from(["spread", "pool"]))
+    if source == "pool":
+        pool = VALUE_POOL[:draw(st.integers(2, len(VALUE_POOL)))]
+        values = rng.choice(pool, size=shape + (len(columns),))
+    else:
+        values = (rng.normal(size=shape + (len(columns),))
+                  * 10.0 ** rng.integers(-300, 300, size=shape + (1,)))
     kind = draw(st.sampled_from(["none", "some", "all"]))
     mask = {"none": np.zeros(shape, bool), "all": np.ones(shape, bool),
             "some": rng.random(shape) < 0.3}[kind]
     values[mask] = np.nan
     gaps = tuple(map(tuple, np.argwhere(mask).tolist()))
+    layout = draw(st.sampled_from(["c", "fortran", "strided"]))
     return ScanTable(axes=tuple(f"x{d}" for d in range(len(shape))), coords=coords,
-                     columns=columns, values=values, gaps=gaps,
-                     metadata={"seed": seed, "kind": kind})
+                     columns=columns, values=with_layout(values, layout), gaps=gaps,
+                     metadata={"seed": seed, "kind": kind, "source": source, "layout": layout})
 
 
 class TestCsvSerialization:
-    @settings(max_examples=200, deadline=None)
-    @given(table=scan_tables(), block=st.sampled_from([1, 7, 64, 1024]))
+    @settings(max_examples=300, deadline=None)
+    @given(table=scan_tables(), block=st.sampled_from([1, 7, 64, 1024, 4096]))
     def test_bytes_match_the_rowwise_serializer(self, table, block):
         # Small row blocks put block boundaries inside every table.
         with mock.patch.object(bell, "_CSV_BLOCK_ROWS", block):
             assert table.to_csv() == rowwise_to_csv(table)
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    @pytest.mark.parametrize("block", [1, 7, 64, 1024, 4096])
+    def test_repeated_values_and_signed_zeros(self, layout, block):
+        # Every pool value in every column, cycled so that a value meets its
+        # negation and its ulp neighbours within a block and across block
+        # boundaries; every fifth row a gap.
+        rows = 3 * len(VALUE_POOL) + 1
+        values = np.stack([np.resize(VALUE_POOL, rows), np.resize(VALUE_POOL[::-1], rows),
+                           np.resize(-VALUE_POOL, rows)], axis=-1).reshape(rows, 1, 3)
+        gaps = tuple((i, 0) for i in range(0, rows, 5))
+        values[[i for i, _ in gaps]] = np.nan
+        table = ScanTable(axes=("i", "j"), coords=(np.arange(rows), [-0.0]),
+                          columns=("c0", "c1", "c2"), values=with_layout(values, layout),
+                          gaps=gaps)
+        with mock.patch.object(bell, "_CSV_BLOCK_ROWS", block):
+            text = table.to_csv()
+        assert text == rowwise_to_csv(table)
+        assert text.splitlines()[2] == f"1.0,-0.0,-0.0,{float(VALUE_POOL[-2])!r},0.0"
 
     def test_bytes_match_across_full_row_blocks(self):
         # 129 x 129 = 16 641 rows, many blocks of the real size, with gaps

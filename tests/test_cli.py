@@ -118,6 +118,35 @@ class TestChsh:
 
 
 class TestUsageErrors:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["correlate", "--a=nan,0,0", "--b=0,1,0", "--beta=0.1,0,0"],
+         "argument --a: --a components must be finite"),
+        (["correlate", "--a=1,0,0", "--b=0,-inf,0", "--beta=0.1,0,0"],
+         "argument --b: --b components must be finite"),
+        (["chsh", "--beta=0,0,0", "--settings=1,0,0,0,1,0,0,1,0,1,0,inf"],
+         "argument --settings: settings axis b_prime components must be finite"),
+        (["fig3", "--grid=3", "--settings=inf,0,0,0,1,0,0,1,0,1,0,0"],
+         "argument --settings: settings axis a components must be finite"),
+    ], ids=["correlate_a_nan", "correlate_b_inf", "chsh_settings_inf", "fig3_settings_inf"])
+    def test_non_finite_axis_is_usage_error_without_warning(self, capsys, argv, message):
+        code, out, err = outcome(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: {message}\n")
+        assert "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_axes_of_extreme_length_are_normalized_without_warning(self, capsys):
+        # Squares of 1e300 overflow and those of 1e-200 underflow; the
+        # directions are still (1, 1, 0)/sqrt(2) and (1, 0, 0).
+        code, out, err = outcome(capsys, ["correlate", "--a=1e300,1e300,0", "--b=1e-200,0,0",
+                                          "--beta=0,0,0"])
+        assert code == 0
+        assert err == ("warning: --a normalized from |v|=1.4142135623730952e+300\n"
+                       "warning: --b normalized from |v|=1e-200\n")
+        assert "Warning" not in err
+        assert abs(float(out.splitlines()[0].split("=")[1]) + math.sqrt(0.5)) < 1e-15
+
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys)
@@ -324,6 +353,13 @@ class TestCryptoAudit:
         code, _, err = run(capsys, "crypto-audit", "--dist", str(dist))
         assert code == 2
         assert "ParseError" in err
+
+    def test_field_beyond_the_csv_limit_exits_two(self, capsys, tmp_path):
+        dist = tmp_path / "long.csv"
+        dist.write_text("beta_x,beta_y,beta_z,weight\n0,0,0,1\n0,0,0," + "1" * 200_000 + "\n")
+        code, out, err = run(capsys, "crypto-audit", "--dist", str(dist))
+        assert (code, out) == (2, "")
+        assert err == "ParseError: line 3: field larger than field limit (131072)\n"
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "crypto-audit", "--dist", str(tmp_path / "absent.csv"))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_beta, random_direction, unit
+from relbell.bell import ChshSettings
 from relbell.errors import DegenerateObservable
 from relbell.kinematics import alpha_vector
 from relbell.linalg import ID2, dagger, herm_eig, kron, max_abs, pauli_dot
@@ -222,6 +223,26 @@ class TestClosedForm:
     def test_rejects_non_unit_axes(self):
         with pytest.raises(ValueError):
             eprb_closed_form([2.0, 0.0, 0.0], Y, np.zeros(3))
+
+
+class TestNonFiniteAxes:
+    # |v| of a vector with a NaN component is NaN, which no tolerance
+    # comparison of |v| with 1 may let through.
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [1.0, math.nan, 0.0],
+                                     [math.inf, 0.0, 0.0]])
+    def test_rejected_by_both_routes_and_the_settings(self, bad):
+        bad = np.array(bad)
+        beta = np.array([0.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="analyzer axis a must be a unit vector"):
+            eprb_closed_form(bad, Y, beta)
+        with pytest.raises(ValueError, match="analyzer axis b must be a unit vector"):
+            eprb_closed_form(Y, bad, beta)
+        with pytest.raises(ValueError, match="unit vector"):
+            eprb_oracle(bad, Y, beta)
+        with pytest.raises(ValueError, match="unit vector"):
+            eprb_oracle(Y, bad, beta)
+        with pytest.raises(ValueError, match="b_prime must be a unit vector"):
+            ChshSettings.of(X, Y, Z, bad)
 
 
 class TestOracleAgreement:

@@ -20,7 +20,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -67,6 +67,10 @@ class VelocityDistribution:
             raise SuperluminalSample(
                 f"sample {k} has |beta| = {float(mags[k])!r} >= 1: {tuple(betas[k].tolist())}"
             )
+        # A power-of-two rescale that brings the largest weight into
+        # [0.5, 1) is exact, so the quotients are those of the unscaled
+        # weights, and no sum of n weights can overflow.
+        weights = np.ldexp(weights, -math.frexp(float(weights.max()))[1])
         return cls(betas=betas, weights=weights / math.fsum(weights.tolist()))
 
 
@@ -168,6 +172,10 @@ class AuditReport:
     at rest it cannot be negative beyond rounding; for deliberately
     suboptimal settings motion can improve the correlation, which shows
     up as a negative value.
+
+    ``columns`` is a read-only (5, n) array holding beta_x, beta_y,
+    beta_z, weight and chsh of every sample; ``samples`` gives the same
+    numbers as a tuple of ``((beta_x, beta_y, beta_z), weight, chsh)``.
     """
 
     expected_chsh: float
@@ -175,7 +183,12 @@ class AuditReport:
     degradation: float
     alarm_threshold: float
     verdict: str
-    samples: tuple
+    columns: np.ndarray
+
+    @property
+    def samples(self) -> tuple:
+        beta_x, beta_y, beta_z, weights, values = self.columns.tolist()
+        return tuple(zip(zip(beta_x, beta_y, beta_z), weights, values))
 
     def to_json_dict(self) -> dict:
         return self._document([
@@ -190,21 +203,19 @@ class AuditReport:
         """``render_json(self.to_json_dict())`` and a newline, byte for byte.
 
         ``render_json`` lays out the report with an empty sample list; the
-        samples, five floats each at one depth, fill one fixed template
-        block by block, and the pieces are joined once.
+        samples fill it block by block (``_samples_json``), and the pieces
+        are joined once.
         """
         text = render_json(self._document([])) + "\n"
-        if not self.samples:
+        count = self.columns.shape[1]
+        if not count:
             return text
         head, _, tail = text.partition('"samples": []')
-        sep = ",\n    "
         parts = [head, '"samples": [\n    ']
-        for start in range(0, len(self.samples), _JSON_BLOCK_SAMPLES):
+        for start in range(0, count, _JSON_BLOCK_SAMPLES):
             if start:
-                parts.append(sep)
-            parts.append(sep.join([
-                _SAMPLE_JSON % (beta[0], beta[1], beta[2], weight, value)
-                for beta, weight, value in self.samples[start:start + _JSON_BLOCK_SAMPLES]]))
+                parts.append(_SAMPLE_SEP)
+            parts.append(_samples_json(self.columns[:, start:start + _JSON_BLOCK_SAMPLES]))
         parts += ["\n  ]", tail]
         return "".join(parts)
 
@@ -226,10 +237,56 @@ class AuditReport:
 
 # One audit sample as render_json lays it out in a report, an item of the
 # "samples" list two levels down; AuditReport.to_json fills it in blocks of
-# samples, which bounds the memory of the per-sample strings.
+# samples, which bounds the memory of the per-sample text.
 _SAMPLE_JSON = ('{\n      "beta_x": %.17g,\n      "beta_y": %.17g,\n      "beta_z": %.17g,\n'
                 '      "weight": %.17g,\n      "chsh": %.17g\n    }')
+_SAMPLE_SEP = ",\n    "
 _JSON_BLOCK_SAMPLES = 1 << 12
+# Blocks of fewer samples fill the template one sample at a time: below
+# this size the fixed cost (~0.2 ms) of the column kernel's numpy calls
+# exceeds what it saves. Break-even measured at 70-80 samples with warm
+# caches and at 100-130 with other commands run between calls.
+_KERNEL_MIN_SAMPLES = 128
+
+
+def _samples_json(block) -> str:
+    """The samples of a (5, m) column block, ``_SAMPLE_JSON`` each, joined
+    by ``_SAMPLE_SEP``.
+
+    Large blocks are laid out as a (row width, m) byte array: the
+    template's text in constant rows, each value's ``format_17g`` planes
+    in its slot. Transposed, with its NUL bytes dropped, it is the text.
+    """
+    count = block.shape[1]
+    if count < _KERNEL_MIN_SAMPLES:
+        return _SAMPLE_SEP.join([_SAMPLE_JSON % row for row in zip(*block.tolist())])
+    from .format17 import SLOT, format_17g
+
+    planes = format_17g(block.ravel())
+    row_text, row_slots, row_width = _row_layout(SLOT)
+    rows = np.empty((row_width, count), np.uint8)
+    for offset, text in row_text:
+        rows[offset:offset + text.size] = text[:, None]
+    for k, offset in enumerate(row_slots):
+        rows[offset:offset + SLOT] = planes[:, k * count:(k + 1) * count]
+    del planes
+    rows[:len(_SAMPLE_SEP), 0] = 0  # the first sample has no separator
+    return str(rows.T[rows.T != 0], "ascii")
+
+
+@cache
+def _row_layout(slot: int):
+    """Where the template's text and the five values, ``slot`` bytes
+    each, sit in a row of ``_samples_json``'s byte array (the separator,
+    then ``_SAMPLE_JSON``), and the row's width."""
+    text, slots, offset = [], [], 0
+    for k, piece in enumerate((_SAMPLE_SEP + _SAMPLE_JSON).split("%.17g")):
+        if k:
+            slots.append(offset)
+            offset += slot
+        text.append((offset, np.frombuffer(piece.encode(), np.uint8)))
+        offset += len(piece)
+    return text, slots, offset
 
 
 # Dict keys repeat across records (every audit sample has the same five),
@@ -280,11 +337,13 @@ def audit(dist: VelocityDistribution, settings: ChshSettings,
     values = per_sample_chsh(dist, settings)
     expected = _weighted_sum(dist, values)
     ideal = chsh_value(settings, np.zeros(3))
+    columns = np.vstack([dist.betas.T, dist.weights, values])
+    columns.flags.writeable = False
     return AuditReport(
         expected_chsh=expected,
         ideal_chsh=ideal,
         degradation=abs(ideal) - abs(expected),
         alarm_threshold=threshold,
         verdict=FALSE_ALARM_RISK if abs(expected) < threshold else NO_ALARM,
-        samples=tuple(zip(zip(*dist.betas.T.tolist()), dist.weights.tolist(), values.tolist())),
+        columns=columns,
     )

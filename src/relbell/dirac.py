@@ -65,6 +65,9 @@ _GAMMA = np.array(GAMMA)
 _SPIN = np.array(SPIN)
 _PAULI = np.array(PAULI)
 _SPECTRUM_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+#: The largest energy p0 = hypot(|p|, m) whose square p0 * p0, which the
+#: operators divide by, is finite.
+_P0_MAX = float(np.sqrt(np.finfo(float).max))
 
 #: Trials per block. A block of stacked operators takes some tens of kB
 #: per trial, so the battery's memory does not grow with the trial count.
@@ -249,6 +252,11 @@ def _validate(p, m) -> None:
             lambda k: f"mass must be finite and non-negative, got {float(m[k])!r}")
     _reject(~np.all(np.isfinite(p), axis=1), ValueError,
             lambda k: f"momentum must be finite, got {p[k].tolist()!r}")
+    with np.errstate(over="ignore"):  # an infinite p0 is rejected below
+        p0 = np.hypot(np.hypot(np.hypot(p[:, 0], p[:, 1]), p[:, 2]), m)
+    _reject(p0 > _P0_MAX, ValueError,
+            lambda k: f"energy hypot(|p|, m) = {float(p0[k])!r} exceeds {_P0_MAX!r}, "
+                      "the largest whose square is finite")
     _reject(~np.any(p != 0.0, axis=1) & (m == 0.0), NullContext,
             lambda k: "momentum and mass are both zero")
 

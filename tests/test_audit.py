@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from relbell.audit import (
 )
 from relbell.bell import STANDARD_SETTINGS, chsh_batch, chsh_value
 from relbell.errors import EmptyDistribution, ParseError, SuperluminalSample
+from relbell.format17 import format_17g
 from relbell.kinematics import speeds
 
 # The module, not the audit() function that relbell exports under its name.
@@ -51,6 +53,11 @@ class TestLoadDistribution:
     def test_weights_normalized(self):
         dist = load_distribution(HEADER + "0.1,0,0,2\n0.2,0,0,6\n")
         assert_allclose(dist.weights, [0.25, 0.75], atol=1e-15)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_weights_summing_past_float_max(self, count):
+        dist = VelocityDistribution.from_samples(np.zeros((count, 3)), [1e308] * count)
+        assert dist.weights.tolist() == [1.0 / count] * count
 
     def test_blank_lines_ignored(self):
         dist = load_distribution(HEADER + "\n0.1,0,0,1\n\n0.2,0,0,1\n\n")
@@ -429,6 +436,83 @@ class TestJsonRendering:
                        STANDARD_SETTINGS)
         with mock.patch.object(audit_module, "_JSON_BLOCK_SAMPLES", block):
             assert report.to_json() == recursive_render_json(report.to_json_dict()) + "\n"
+
+
+    @pytest.mark.parametrize("crossover", [1, audit_module._KERNEL_MIN_SAMPLES, 4096])
+    @pytest.mark.parametrize("block", [1, audit_module._KERNEL_MIN_SAMPLES, 4096])
+    def test_kernel_report_bytes_match_the_template(self, block, crossover):
+        # Beam samples (beta_z = 0.0 in every one) and near-rest samples
+        # (|beta| down to ~1e-7, in the e-XX form), weights near 1e-3 (the
+        # 0.000 prefix), rendered through the kernel and the template.
+        rng = np.random.default_rng(block + crossover)
+        count = 700
+        speed = 0.99 + rng.uniform(-0.003, 0.003, size=count // 2)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=count // 2)
+        beam = np.stack([speed * np.cos(phi), -speed * np.sin(phi), np.zeros(count // 2)], -1)
+        rest = rng.normal(0.0, 0.02, size=(count - count // 2, 3)) * 10.0 ** rng.integers(
+            -4, 1, size=(count - count // 2, 1))
+        dist = VelocityDistribution.from_samples(np.vstack([beam, rest]),
+                                                 rng.uniform(0.5, 2.0, size=count))
+        report = audit(dist, STANDARD_SETTINGS)
+        with mock.patch.object(audit_module, "_JSON_BLOCK_SAMPLES", block), \
+                mock.patch.object(audit_module, "_KERNEL_MIN_SAMPLES", crossover):
+            assert report.to_json() == recursive_render_json(report.to_json_dict()) + "\n"
+
+
+def g17(values):
+    """The text format_17g writes for each value, its NUL bytes dropped."""
+    planes = np.ascontiguousarray(format_17g(np.array(values, dtype=float)).T)
+    return [row.tobytes().replace(b"\0", b"").decode() for row in planes]
+
+
+def _neighbours(values):
+    return [y for v in values for y in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf))]
+
+
+POWERS_OF_TEN = [float(f"1e{j}") for j in range(-323, 309)]
+#: Doubles within 5e-18 below a power of ten: their 17-digit integer
+#: carries to 1e17, and the exponent moves up.
+CARRIES = [x for j, x in zip(range(-323, 309), POWERS_OF_TEN)
+           if 10 ** j * (1 - Fraction(5, 10 ** 18)) <= Fraction(x) < 10 ** j]
+#: Exact ties at the 17th digit, which Python rounds half to even: up for
+#: 3 * 2**-25 = 8.94069671630859375e-08, down for 2**-25.
+TIES = [2.0 ** -25, 3 * 2.0 ** -25, -3 * 2.0 ** -25, 5 * 2.0 ** -26]
+
+
+class TestFormat17g:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_matches_percent_format_on_every_double(self, values):
+        assert g17(values) == ["%.17g" % v for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(lambda m, e: float(f"{m}5e{e}"), st.integers(10 ** 15, 10 ** 17),
+                              st.integers(-300, 290)), min_size=1, max_size=64))
+    def test_matches_percent_format_near_halfway(self, values):
+        assert g17(values) == ["%.17g" % v for v in values]
+
+    @pytest.mark.parametrize("values", [
+        pytest.param([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+                      2.2250738585072014e-308, -1.5e-315], id="zeros-subnormals"),
+        pytest.param(_neighbours(POWERS_OF_TEN), id="powers-of-ten"),
+        pytest.param([0.5, -0.5, 123.0, 1e16, -1e16, 0.25, 100.0, 1e-4, 1e15, 12345.0, 0.1,
+                      2.0, 1.5e-7, -2.5e20], id="short-decimals"),
+        pytest.param(_neighbours([1e-5, 1e-4, 1e16, 1e17, 99999999999999984.0]),
+                     id="fixed-exponent-switch"),
+        pytest.param(CARRIES + [-x for x in CARRIES], id="carries"),
+        pytest.param(TIES, id="ties"),
+    ])
+    def test_targeted_values(self, values):
+        assert g17(values) == ["%.17g" % v for v in values]
+
+    def test_the_targets_exist(self):
+        # 1e98, 1e129, 1e153 and 1e220, all inside the kernel's table.
+        assert CARRIES and all(1e-280 < x < 1e280 for x in CARRIES)
+        assert ["%.17g" % x for x in TIES[:2]] == ["2.9802322387695312e-08", "8.9406967163085938e-08"]
+
+    def test_beyond_the_table_and_non_finite_values(self):
+        values = [1e300, -1e-300, math.nan, math.inf, -math.inf, 1.7976931348623157e308]
+        assert g17(values) == ["%.17g" % v for v in values]
 
 
 def recursive_render_json(obj, indent=0):

@@ -329,6 +329,17 @@ class TestDiracCheck:
         assert (code, out) == (2, "")
         assert err.startswith("NullContext: ")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [("--p", "1e160,0,0", "--m", "1"),
+                                      ("--p", "1,0,0", "--m", "1e160"),
+                                      ("--p=1e308,-1e308,1e308", "--m", "1")])
+    def test_energy_whose_square_overflows_is_a_usage_error_without_warning(self, capsys, argv):
+        code, out, err = run(capsys, "dirac-check", *argv, "--trials", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: energy hypot(|p|, m) = ")
+        assert f"exceeds {math.sqrt(np.finfo(float).max)!r}" in err
+        assert "Warning" not in err
+
 
 class TestCryptoAudit:
     def test_rest_distribution_is_quiet(self, capsys, tmp_path):
@@ -365,6 +376,13 @@ class TestCryptoAudit:
         code, _, err = run(capsys, "crypto-audit", "--dist", str(tmp_path / "absent.csv"))
         assert code == 1
         assert "cannot read" in err
+
+    def test_weights_summing_past_float_max_are_normalized(self, capsys, tmp_path):
+        dist = tmp_path / "heavy.csv"
+        dist.write_text("beta_x,beta_y,beta_z,weight\n0.1,0,0,1e308\n0.2,0,0,1e308\n")
+        code, out, err = run(capsys, "crypto-audit", "--dist", str(dist))
+        assert (code, err) == (0, "")
+        assert [s["weight"] for s in json.loads(out)["samples"]] == [0.5, 0.5]
 
     def test_report_written_atomically(self, capsys, tmp_path):
         dist = tmp_path / "rest.csv"

@@ -20,14 +20,14 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain
 
 import numpy as np
 
 from .bell import ChshSettings, chsh_batch, chsh_value
 from .errors import DegenerateObservable, EmptyDistribution, ParseError, SuperluminalSample
-from .kinematics import Z_AXIS, speeds
+from .kinematics import Z_AXIS, lengths_and_directions, speeds
 
 NO_ALARM = "NoAlarm"
 FALSE_ALARM_RISK = "FalseAlarmRisk"
@@ -98,19 +98,16 @@ def load_distribution(text: str) -> VelocityDistribution:
     fields = set(map(len, body)) - {0}
     if not fields:
         raise EmptyDistribution("distribution has a header but no samples")
-    # All cells go through one map(float) into an (n, 4) array and are
-    # checked at once; only input that fails walks the rows, to name the
-    # first offending line.
+    # All cells go through one map(float) into an (n, 4) array, which
+    # from_samples checks at once; only input that fails walks the rows,
+    # to name the first offending line.
     if fields == {4}:
         try:
             cells = np.fromiter(map(float, chain.from_iterable(body)), dtype=float).reshape(-1, 4)
-        except ValueError:  # a cell is not a number
-            cells = None
-        if cells is not None:
-            betas = np.ascontiguousarray(cells[:, :3])
-            weights = cells[:, 3]
-            if np.isfinite(cells).all() and (weights > 0.0).all() and (speeds(betas) < 1.0).all():
-                return VelocityDistribution.from_samples(betas, weights)
+            return VelocityDistribution.from_samples(np.ascontiguousarray(cells[:, :3]),
+                                                     cells[:, 3])
+        except (ValueError, SuperluminalSample):  # a cell is not a number, or a sample is bad
+            pass
     for line, row in enumerate(body, first + 2):
         if row:
             _check_row(line, row)
@@ -139,10 +136,8 @@ def per_sample_chsh(dist: VelocityDistribution, settings: ChshSettings) -> np.nd
     A degenerate sample (only possible at |beta| = 1, which the loader
     already rejects) is reported with its index.
     """
-    speed = speeds(dist.betas)
-    moving = speed > 0.0
-    direction = np.tile(Z_AXIS, (len(dist), 1))
-    direction[moving] = dist.betas[moving] / speed[moving, None]
+    speed, direction = lengths_and_directions(dist.betas)
+    direction[speed == 0.0] = Z_AXIS
     values, degenerate = chsh_batch(settings.axes, speed, direction)
     if degenerate.any():
         k, axis = (int(i) for i in np.argwhere(degenerate)[0])
@@ -289,30 +284,23 @@ def _row_layout(slot: int):
     return text, slots, offset
 
 
-# Dict keys repeat across records (every audit sample has the same five),
-# so their JSON quoting is cached.
-_json_key = lru_cache(maxsize=256)(json.dumps)
-
-
 def render_json(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits (full double
-    precision), so reports round-trip bit-exactly."""
+    precision), so reports round-trip bit-exactly.
+
+    One recursive call per value: it lays out report headers and Dirac
+    records; ``AuditReport.to_json`` renders audit samples in blocks.
+    """
     if isinstance(obj, (dict, list, tuple)):
         if not obj:
             return "{}" if isinstance(obj, dict) else "[]"
         pad = "  " * indent
         sep = ",\n" + pad + "  "
-        # Floats, nearly every value in a report, are formatted in place
-        # rather than through a recursive call each; the result is one
-        # f-string, so no partial copies of a large body pile up.
         if isinstance(obj, dict):
-            body = sep.join([
-                f"{_json_key(key)}: {val:.17g}" if type(val) is float
-                else f"{_json_key(key)}: {render_json(val, indent + 1)}"
-                for key, val in obj.items()])
+            body = sep.join([f"{json.dumps(key)}: {render_json(val, indent + 1)}"
+                             for key, val in obj.items()])
             return f"{{\n{pad}  {body}\n{pad}}}"
-        body = sep.join([f"{val:.17g}" if type(val) is float else render_json(val, indent + 1)
-                         for val in obj])
+        body = sep.join([render_json(val, indent + 1) for val in obj])
         return f"[\n{pad}  {body}\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"

@@ -42,7 +42,7 @@ from .bell import (
     scan_beta_phi,
     scan_theta_phi,
 )
-from .dirac import CheckRecord, dirac_battery, kinetic_quantities
+from .dirac import dirac_battery, kinetic_records
 from .errors import RelbellError
 from .kinematics import BeamVelocity, random_direction
 from .observables import eprb_closed_form, eprb_oracle
@@ -188,25 +188,7 @@ def _cmd_dirac_check(args) -> int:
         p[k] = args.p if args.p is not None else rng.uniform(0.3, 4.0) * random_direction(rng)
         m[k] = args.m if args.m is not None else rng.uniform(0.2, 3.0)
         a[k] = random_direction(rng)
-    records = list(dirac_battery(p, m, a))
-
-    kinetic_residual = 0.0
-    omega_residual = 0.0
-    for lam in (0.5, 1.0, 1.5, 2.0):
-        for p_mag in (0.5, 1.0, 2.0):
-            q = kinetic_quantities(lam, p_mag)
-            kinetic_residual = max(
-                kinetic_residual,
-                abs(q.moment_of_inertia - q.kinetic_mass * q.gyration_radius**2),
-            )
-            if lam == 0.5:
-                omega_residual = max(omega_residual, abs(q.angular_velocity - 2.0 * p_mag))
-    for name, residual, tol in (
-        ("kinetic.moment_vs_mass_radius", kinetic_residual, 1e-14),
-        ("kinetic.spin_half_angular_velocity", omega_residual, 1e-12),
-    ):
-        records.append(CheckRecord(check=name, max_residual=residual, tolerance=tol,
-                                   passed=residual <= tol))
+    records = [*dirac_battery(p, m, a), *kinetic_records()]
     records.sort(key=lambda r: r.check)
     text = render_json([r.as_dict() for r in records]) + "\n"
     _emit(text, args.out)

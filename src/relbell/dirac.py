@@ -93,6 +93,8 @@ _TOL = {
     "evenness.omega": 1e-12,
     "massless_velocity.hamiltonian": 1e-12,
     "massless_velocity.even": 1e-12,
+    "kinetic.moment_vs_mass_radius": 1e-14,
+    "kinetic.spin_half_angular_velocity": 1e-12,
 }
 
 
@@ -709,10 +711,32 @@ def kinetic_quantities(lam: float, p_mag: float) -> KineticQuantities:
         gyration_radius=radius,
         angular_velocity=p_mag / abs(lam),
     )
-    drift = abs(quantities.moment_of_inertia - quantities.kinetic_mass * radius * radius)
-    if drift > 1e-14:
-        raise ArithmeticError(f"I != m r^2 by {drift:.3e}")
+    drift = _inertia_drift(quantities)
+    if drift > _TOL["kinetic.moment_vs_mass_radius"]:
+        raise ArithmeticError(f"I != m r^2 by {drift:.3e} of I")
     return quantities
+
+
+def _inertia_drift(q: KineticQuantities) -> float:
+    """|I - m r^2| / I: the rounding of the rotator quantities, relative
+    to I, so that it does not grow with I."""
+    r = q.gyration_radius
+    return abs(q.moment_of_inertia - q.kinetic_mass * r * r) / q.moment_of_inertia
+
+
+def kinetic_records() -> tuple:
+    """The two rotator records of ``dirac-check``, each the largest over
+    helicities 1/2 to 2 and |p| in {0.5, 1, 2}: the drift of I = m r^2
+    (``_inertia_drift``) and, at helicity 1/2, |omega - 2 |p||."""
+    drift = omega = 0.0
+    for lam in (0.5, 1.0, 1.5, 2.0):
+        for p_mag in (0.5, 1.0, 2.0):
+            q = kinetic_quantities(lam, p_mag)
+            drift = max(drift, _inertia_drift(q))
+            if lam == 0.5:
+                omega = max(omega, abs(q.angular_velocity - 2.0 * p_mag))
+    return (_record("kinetic.moment_vs_mass_radius", drift),
+            _record("kinetic.spin_half_angular_velocity", omega))
 
 
 def com_uncertainty_bound(lam: float, p2_mean: float) -> float:

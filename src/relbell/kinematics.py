@@ -71,10 +71,11 @@ def check_unit(v, name: str = "direction") -> np.ndarray:
 def speeds(betas) -> np.ndarray:
     """|beta| of each velocity in a (..., 3) array.
 
-    The one speed that the distribution loader, ``VelocityDistribution``
-    and ``audit.per_sample_chsh`` all compute, so a sample accepted as
-    slower than light reaches the kernel at exactly the speed that was
-    checked. The result for a row does not depend on the other rows.
+    The one speed that ``VelocityDistribution.from_samples`` checks and
+    that ``lengths_and_directions`` gives ``audit.per_sample_chsh`` for
+    every row above about 1e-146, so a sample accepted as slower than
+    light reaches the kernel at exactly the speed that was checked. The
+    result for a row does not depend on the other rows.
     """
     betas = np.asarray(betas, dtype=float)
     return np.sqrt(np.einsum("...j,...j->...", betas, betas))

@@ -251,6 +251,19 @@ class TestOneSuperluminalPredicate:
         assert np.array_equal(per_sample_chsh(dist, STANDARD_SETTINGS), expected)
 
 
+class TestPerSampleDirections:
+    def test_tiny_and_zero_velocities_get_unit_directions(self):
+        betas = [[1e-160, 0.0, 0.0], [0.0, 3e-170, -4e-170], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
+        dist = VelocityDistribution.from_samples(betas, np.ones(4))
+        with mock.patch.object(audit_module, "chsh_batch", wraps=chsh_batch) as kernel:
+            values = per_sample_chsh(dist, STANDARD_SETTINGS)
+        _, speed, direction = kernel.call_args.args
+        assert_allclose(speeds(direction), 1.0, rtol=0, atol=1e-15)
+        assert direction.tolist()[:3] == [[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.0, 1.0]]
+        assert speed[2] == 0.0
+        assert values.tolist() == [chsh_value(STANDARD_SETTINGS, beta) for beta in betas]
+
+
 class TestFromSamples:
     def test_superluminal_names_sample_index(self):
         betas = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]

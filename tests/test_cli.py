@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from relbell import cli, dirac
-from relbell.bell import STANDARD_SETTINGS
+from relbell.bell import STANDARD_SETTINGS, chsh_value
 from relbell.cli import main
 from relbell.kinematics import BeamVelocity, alpha_vector, random_direction
 
@@ -324,6 +324,15 @@ class TestDiracCheck:
         assert (code, err) == (0, "")
         assert all(r["pass"] for r in json.loads(out))
 
+    def test_kinetic_record_bytes(self, capsys):
+        # The two rotator records, their tolerances from dirac._TOL.
+        code, out, _ = run(capsys, "dirac-check", "--trials", "2", "--seed", "3")
+        assert code == 0
+        for name, tolerance in (("moment_vs_mass_radius", "1e-14"),
+                                ("spin_half_angular_velocity", "9.9999999999999998e-13")):
+            assert (f'    "check": "kinetic.{name}",\n    "max_residual": 0,\n'
+                    f'    "tolerance": {tolerance},\n    "pass": true\n') in out
+
     def test_null_context_exits_two(self, capsys):
         code, out, err = run(capsys, "dirac-check", "--p", "0,0,0", "--m", "0", "--trials", "1")
         assert (code, out) == (2, "")
@@ -383,6 +392,16 @@ class TestCryptoAudit:
         code, out, err = run(capsys, "crypto-audit", "--dist", str(dist))
         assert (code, err) == (0, "")
         assert [s["weight"] for s in json.loads(out)["samples"]] == [0.5, 0.5]
+
+    def test_velocity_with_underflowing_squares(self, capsys, tmp_path):
+        # |beta|^2 = 1e-320 loses bits; the sample still audits, at the
+        # value chsh computes for the same velocity.
+        dist = tmp_path / "tiny.csv"
+        dist.write_text("beta_x,beta_y,beta_z,weight\n1e-160,0,0,1\n0.5,0,0,1\n")
+        code, out, err = run(capsys, "crypto-audit", "--dist", str(dist))
+        assert (code, err) == (0, "")
+        tiny = json.loads(out)["samples"][0]
+        assert tiny["chsh"] == chsh_value(STANDARD_SETTINGS, [1e-160, 0.0, 0.0])
 
     def test_report_written_atomically(self, capsys, tmp_path):
         dist = tmp_path / "rest.csv"

@@ -545,6 +545,15 @@ class TestKineticQuantities:
                 q = kinetic_quantities(lam, p)
                 assert abs(q.moment_of_inertia - q.kinetic_mass * q.gyration_radius**2) <= 1e-14
 
+    def test_moment_drift_is_relative_to_the_moment(self):
+        # I = lambda^2 / |p| spans 2.5e-10 to 6.25e9 here; its rounding
+        # drift is held to 1e-14 of I, not to an absolute 1e-14.
+        for lam in (0.5, 1.0, 1.5, 2.0, 2.5):
+            for p in np.geomspace(1e-9, 1e9, 37).tolist():
+                q = kinetic_quantities(lam, p)
+                drift = abs(q.moment_of_inertia - q.kinetic_mass * q.gyration_radius**2)
+                assert drift <= 1e-14 * q.moment_of_inertia
+
     def test_unit_radius(self):
         assert kinetic_quantities(1.0, 1.0).gyration_radius == 1.0
 

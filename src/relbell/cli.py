@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import FALSE_ALARM_RISK, audit, load_distribution
+from .audit import FALSE_ALARM_RISK, audit, load_distribution, render_json
 from .bell import (
     STANDARD_SETTINGS,
     ChshSettings,
@@ -46,7 +46,6 @@ from .dirac import dirac_battery, kinetic_records
 from .errors import RelbellError
 from .kinematics import BeamVelocity, random_direction
 from .observables import eprb_closed_form, eprb_oracle
-from .audit import render_json
 
 _MAX_CHSH = 2.0 * math.sqrt(2.0)
 

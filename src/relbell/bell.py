@@ -29,15 +29,13 @@ import numpy as np
 
 from .errors import DegenerateObservable, EmptyGrid
 from .kinematics import _UNIT_TOL, BeamVelocity, check_unit
-from .observables import DEGENERACY_THRESHOLD
+from .observables import correlations
 
 # Correctly rounded 1/sqrt(2); 1.0/math.sqrt(2.0) is one ulp low and the
 # rest-frame CHSH combination would then miss -2*sqrt(2) by an ulp too.
 _SQ2 = math.sqrt(0.5)
 
 _LABELS = ("a", "a_prime", "b", "b_prime")
-# Signs of -E in the CHSH terms, as a (a, a') x (b, b') table.
-_TERM_SIGNS = np.array([[-1.0, -1.0], [-1.0, 1.0]])
 # Rows that ScanTable.to_csv formats at once: each distinct value of a block
 # is repr'd once, and the block bounds the memory its cell strings take on
 # large grids. A 61 x 61 table is one block.
@@ -51,7 +49,8 @@ _CSV_BLOCK_ROWS = 1 << 12
 _FSUM_BLOCK_ROWS = 1 << 14
 _VECTOR_SUM_MIN_ROWS = 160
 # Terms at most this large keep every partial sum finite, both here and in
-# math.fsum; a block with a larger or non-finite term goes to fsum whole.
+# math.fsum; a block with a larger or infinite term goes to fsum whole. NaN
+# terms (degenerate settings) fail the certificate, so only their rows do.
 _VECTOR_SUM_MAX_TERM = 2.0**1020
 
 
@@ -110,13 +109,12 @@ def chsh_batch(axes, speed, direction):
     ``speed``: |beta| in [0, 1], (...); ``direction``: unit motion
     directions, (..., 3), any unit vector at speed 0. Batch shapes
     broadcast; speed comes apart from direction so that 1 stays exact.
-    Returns (values, degenerate): ``degenerate`` (batch + (4,)) marks the
-    settings with |alpha|^2 = (1 - beta^2) + beta^2 (n.a)^2 at most
-    DEGENERACY_THRESHOLD^2, and ``values`` (batch) is NaN there. Each
-    value is the correctly rounded sum of its four terms, bit-identical
-    to math.fsum; large batches compute it with error-free transforms and
-    a per-row certificate. So the standard settings at rest give exactly
-    the rounding of -2 sqrt(2).
+    Returns (values, degenerate) from ``observables.correlations``:
+    ``degenerate`` (batch + (4,)) marks the degenerate settings, and
+    ``values`` (batch) is NaN there. Each value is the correctly rounded
+    sum of its four terms, bit-identical to math.fsum (large batches use
+    error-free transforms and a per-row certificate), so the standard
+    settings at rest give exactly the rounding of -2 sqrt(2).
     """
     axes = np.asarray(axes, dtype=float)
     speed = np.asarray(speed, dtype=float)
@@ -134,25 +132,9 @@ def chsh_batch(axes, speed, direction):
 
 def _chsh(axes, speed, direction):
     """chsh_batch without the validation, for inputs already checked."""
-    n_dot = np.einsum("...j,...kj->...k", direction, axes)
-    b = speed[..., None]
-    b2 = b * b
-    rest = 1.0 - b2
-    len2 = rest + b2 * (n_dot * n_dot)
-    degenerate = len2 <= DEGENERACY_THRESHOLD**2
-    any_degenerate = np.count_nonzero(degenerate) > 0
-    length = np.sqrt(np.where(degenerate, 1.0, len2) if any_degenerate else len2)
-    # alpha(a) . alpha(b) = (1 - beta^2) a . b + beta^2 (n.a)(n.b), which
-    # is exact at rest and at light speed; built in place to keep the peak
-    # memory of large batches down.
-    terms = b2[..., None] * (n_dot[..., :2, None] * n_dot[..., None, 2:])
-    terms += rest[..., None] * np.einsum("...ij,...kj->...ik", axes[..., :2, :], axes[..., 2:, :])
-    terms /= length[..., :2, None] * length[..., None, 2:]
-    terms *= _TERM_SIGNS
-    values = _row_sums(terms.reshape(-1, 4)).reshape(terms.shape[:-2])
-    if any_degenerate:
-        values[degenerate.any(axis=-1)] = math.nan
-    return values, degenerate
+    terms, degenerate = correlations(axes[..., :2, :], axes[..., 2:, :], speed, direction)
+    terms[..., 1, 1] *= -1.0  # the sign of E(a', b')
+    return _row_sums(terms.reshape(-1, 4)).reshape(terms.shape[:-2]), degenerate
 
 
 def _two_sum(a, b):
@@ -202,8 +184,8 @@ def _row_sums(flat):
         block = flat[k:k + _FSUM_BLOCK_ROWS]
         out = values[k:k + _FSUM_BLOCK_ROWS]
         rows = slice(None)
-        if (len(block) >= _VECTOR_SUM_MIN_ROWS and block.max() <= _VECTOR_SUM_MAX_TERM
-                and block.min() >= -_VECTOR_SUM_MAX_TERM):
+        if (len(block) >= _VECTOR_SUM_MIN_ROWS
+                and np.fmax.reduce(np.abs(block), axis=None) <= _VECTOR_SUM_MAX_TERM):
             out[:], doubtful = _certified_sums(block)
             rows = np.flatnonzero(doubtful)
         out[rows] = list(map(math.fsum, block[rows].tolist()))
@@ -219,7 +201,7 @@ def chsh_value(settings: ChshSettings, beta) -> float:
     bv = BeamVelocity.of(beta)
     axes = settings.axes
     _check_unit_rows(axes, "setting", _LABELS)
-    value, degenerate = _chsh(axes, np.asarray(bv.magnitude), bv.direction)
+    value, degenerate = _chsh(axes, bv.magnitude, bv.direction)
     if np.count_nonzero(degenerate):
         label = _LABELS[int(np.argmax(degenerate))]
         raise DegenerateObservable(f"setting {label} degenerate at |beta| = {bv.magnitude!r}")

@@ -65,8 +65,9 @@ _GAMMA = np.array(GAMMA)
 _SPIN = np.array(SPIN)
 _PAULI = np.array(PAULI)
 _SPECTRUM_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
-#: The largest energy p0 = hypot(|p|, m) whose square p0 * p0, which the
-#: operators divide by, is finite.
+#: The smallest and largest energy p0 = hypot(|p|, m) whose square
+#: p0 * p0, which the operators divide by, is a finite normal float.
+_P0_MIN = float(np.sqrt(np.finfo(float).tiny))
 _P0_MAX = float(np.sqrt(np.finfo(float).max))
 
 #: Trials per block. A block of stacked operators takes some tens of kB
@@ -114,11 +115,6 @@ class DiracContext:
     p0: float
     p_mag: float
     n: np.ndarray | None
-
-    @property
-    def beta(self) -> np.ndarray:
-        """Velocity vector p / p0."""
-        return self.p / np.expand_dims(self.p0, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +255,9 @@ def _validate(p, m) -> None:
     _reject(p0 > _P0_MAX, ValueError,
             lambda k: f"energy hypot(|p|, m) = {float(p0[k])!r} exceeds {_P0_MAX!r}, "
                       "the largest whose square is finite")
+    _reject((p0 > 0.0) & (p0 < _P0_MIN), ValueError,
+            lambda k: f"energy hypot(|p|, m) = {float(p0[k])!r} is below {_P0_MIN!r}, "
+                      "the smallest whose square is normal")
     _reject(~np.any(p != 0.0, axis=1) & (m == 0.0), NullContext,
             lambda k: "momentum and mass are both zero")
 

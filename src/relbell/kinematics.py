@@ -192,17 +192,21 @@ def alpha_vector(a, beta) -> np.ndarray:
     return math.sqrt((1.0 - bv.magnitude) * (1.0 + bv.magnitude)) * a_perp + a_par
 
 
-def alpha_norm(a, beta) -> float:
-    """|alpha(a, beta)| from the closed form sqrt((1 - beta^2) + beta^2 (n.a)^2).
+def alpha_lengths(axes, speed, direction):
+    """n.a and |alpha(a, beta)|^2 = (1 - beta^2) + beta^2 (n.a)^2, (..., K),
+    for the axes a (..., K, 3) at speeds |beta| (...) along the unit
+    directions n (..., 3). The terms are non-negative, so nothing cancels:
+    at |beta| = 1 the length is |n.a| to full relative precision."""
+    n_dot = np.einsum("...j,...kj->...k", direction, axes)
+    b2 = np.multiply(speed, speed)[..., None]
+    return n_dot, (1.0 - b2) + b2 * (n_dot * n_dot)
 
-    Both terms are non-negative, so nothing cancels: at |beta| = 1 the
-    length is |n.a| to full relative precision.
-    """
+
+def alpha_norm(a, beta) -> float:
+    """|alpha(a, beta)|, the square root of its ``alpha_lengths`` entry."""
     a = check_unit(a, "analyzer axis")
     bv = BeamVelocity.of(beta)
-    b2 = bv.magnitude**2
-    na = float(np.dot(bv.direction, a))
-    return math.sqrt((1.0 - b2) + b2 * (na * na))
+    return math.sqrt(alpha_lengths(a[None], bv.magnitude, bv.direction)[1][0])
 
 
 def spin_eigenvalues(a, beta, j: float = 0.5) -> SpinProjectionSpectrum:

@@ -21,10 +21,10 @@ which interpolates between the rest-frame value -a . b and the
 ultrarelativistic limit -sign(n.a) sign(n.b).
 
 Two independent evaluation routes are provided. ``eprb_closed_form``
-computes the expression above from dot products alone. ``eprb_oracle``
-builds the observable matrices, the explicit singlet vector, and the
-4x4 tensor-product expectation value. Their agreement is a structural
-test of the whole stack and is enforced by the test suite.
+computes the expression above from dot products, in ``correlations``, the
+batch kernel that ``bell.chsh_batch`` shares. ``eprb_oracle`` builds the
+observable matrices, the explicit singlet vector and the 4x4 tensor-product
+expectation value; the test suite enforces that the two agree.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateObservable
-from .kinematics import BeamVelocity, alpha_norm, alpha_vector, check_unit
+from .kinematics import BeamVelocity, alpha_lengths, alpha_norm, alpha_vector, check_unit
 from .linalg import kron, pauli_dot, phase_fixed
 
 #: |alpha| at or below this length counts as a collapsed (degenerate) axis.
@@ -120,29 +120,44 @@ def spin_observable(a, beta) -> SpinObservable:
     )
 
 
+def correlations(left, right, speed, direction):
+    """E(a, b, beta) (..., L, R) for every a in ``left`` (..., L, 3) and b in
+    ``right`` (..., R, 3), which share a batch shape; speed and direction
+    as in ``alpha_lengths``, none of it validated. ``degenerate`` (..., L +
+    R) marks the axes, left then right, with |alpha| <= DEGENERACY_THRESHOLD,
+    and E is NaN there. The one kernel of every closed-form correlation."""
+    k = left.shape[-2]
+    n_dot, len2 = alpha_lengths(np.concatenate((left, right), axis=-2), speed, direction)
+    degenerate = len2 <= DEGENERACY_THRESHOLD**2
+    len2[degenerate] = math.nan
+    length = np.sqrt(len2)
+    b2 = np.multiply(speed, speed)[..., None, None]
+    # alpha(a) . alpha(b) = (1 - beta^2) a . b + beta^2 (n.a)(n.b), exact at
+    # rest and at light speed, built in place for a low peak memory, and
+    # negated before the division, which keeps the NaN of a degenerate axis.
+    corr = b2 * (n_dot[..., :k, None] * n_dot[..., None, k:])
+    corr += (1.0 - b2) * np.einsum("...ij,...kj->...ik", left, right)
+    np.negative(corr, out=corr)
+    corr /= length[..., :k, None] * length[..., None, k:]
+    return corr, degenerate
+
+
 def eprb_closed_form(a, b, beta) -> float:
     """Singlet correlation of the two normalized projections, closed form.
 
-    Pure dot-product arithmetic; no matrices are built. The value lies in
-    [-1, 1], reduces to -a . b at rest, and flips sign under reversal of
-    either analyzer axis.
+    One pair through ``correlations``; no matrices are built. The value
+    lies in [-1, 1], reduces to -a . b at rest, and flips sign under
+    reversal of either analyzer axis.
     """
     a = check_unit(a, "analyzer axis a")
     b = check_unit(b, "analyzer axis b")
     bv = BeamVelocity.of(beta)
-    n = bv.direction
-    b2 = bv.magnitude**2
-    na = float(np.dot(n, a))
-    nb = float(np.dot(n, b))
-    # Sums of non-negative terms, exact at rest and at light speed.
-    len2_a = (1.0 - b2) + b2 * (na * na)
-    len2_b = (1.0 - b2) + b2 * (nb * nb)
-    if len2_a <= DEGENERACY_THRESHOLD**2:
-        raise DegenerateObservable(f"axis a = {tuple(a)} degenerate at |beta| = {bv.magnitude!r}")
-    if len2_b <= DEGENERACY_THRESHOLD**2:
-        raise DegenerateObservable(f"axis b = {tuple(b)} degenerate at |beta| = {bv.magnitude!r}")
-    numerator = (1.0 - b2) * float(np.dot(a, b)) + b2 * (na * nb)
-    return -numerator / (math.sqrt(len2_a) * math.sqrt(len2_b))
+    value, degenerate = correlations(a[None], b[None], bv.magnitude, bv.direction)
+    if np.count_nonzero(degenerate):
+        name, axis = ("a", a) if degenerate[0] else ("b", b)
+        raise DegenerateObservable(f"axis {name} = {tuple(axis)} degenerate at "
+                                   f"|beta| = {bv.magnitude!r}")
+    return float(value[0, 0])
 
 
 def eprb_oracle(a, b, beta) -> float:

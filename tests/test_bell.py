@@ -363,6 +363,94 @@ class TestRowSums:
         assert values.tolist() == [-2.8284271247461903] * n
 
 
+def parent_chsh(axes, speed, direction):
+    """The CHSH kernel as it was before it called observables.correlations,
+    with each row summed by math.fsum: the reference for the bytes that
+    chsh_batch keeps, NaNs included."""
+    axes, speed, direction = (np.asarray(x, dtype=float) for x in (axes, speed, direction))
+    n_dot = np.einsum("...j,...kj->...k", direction, axes)
+    b = speed[..., None]
+    b2 = b * b
+    rest = 1.0 - b2
+    len2 = rest + b2 * (n_dot * n_dot)
+    degenerate = len2 <= DEGENERACY_THRESHOLD**2
+    length = np.sqrt(np.where(degenerate, 1.0, len2))
+    terms = b2[..., None] * (n_dot[..., :2, None] * n_dot[..., None, 2:])
+    terms += rest[..., None] * np.einsum("...ij,...kj->...ik", axes[..., :2, :], axes[..., 2:, :])
+    terms /= length[..., :2, None] * length[..., None, 2:]
+    terms *= np.array([[-1.0, -1.0], [-1.0, 1.0]])
+    values = fsum_rows(terms.reshape(-1, 4)).reshape(terms.shape[:-2])
+    values[degenerate.any(axis=-1)] = math.nan
+    return values, degenerate
+
+
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+class TestOneKernel:
+    """chsh_batch, chsh_value and eprb_closed_form share
+    observables.correlations."""
+
+    def test_chsh_value_is_the_fsum_of_its_closed_form_terms(self, rng):
+        # 2400 draws, a third each at rest, at uniform speeds below 1 and
+        # at 1 - 1e-12.
+        for k in range(2400):
+            a, a_prime, b, b_prime = axes = [random_direction(rng) for _ in range(4)]
+            beta = (0.0, rng.uniform(0.0, 1.0), 1.0 - 1e-12)[k % 3] * random_direction(rng)
+            terms = [eprb_closed_form(a, b, beta), eprb_closed_form(a, b_prime, beta),
+                     eprb_closed_form(a_prime, b, beta), -eprb_closed_form(a_prime, b_prime, beta)]
+            assert chsh_value(ChshSettings(*axes), beta) == math.fsum(terms)
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared_axes", "axes_per_row"])
+    def test_chsh_batch_keeps_the_parent_bytes(self, per_row, rng):
+        # Speeds at rest, uniform below 1, within 1e-16..1e-1 of light
+        # speed and exactly 1, where every other luminal row turns one
+        # axis orthogonal to the motion.
+        gaps = 0
+        for trial in range(24):
+            n = int(rng.integers(1, 2000))
+            axes = unit_rows(rng.normal(size=(n, 4, 3) if per_row else (4, 3)))
+            direction = unit_rows(rng.normal(size=(n, 3)))
+            speed = [np.zeros(n), rng.uniform(0.0, 1.0, n),
+                     1.0 - 10.0 ** rng.uniform(-16.0, -1.0, n)][trial % 3]
+            luminal = rng.random(n) < 0.2
+            speed[luminal] = 1.0
+            for k in np.flatnonzero(luminal)[::2]:
+                j = int(rng.integers(4))
+                if per_row:
+                    axes[k, j] = unit_rows(np.cross(direction[k], axes[k, j]))
+                else:
+                    direction[k] = unit_rows(np.cross(axes[j], rng.normal(size=3)))
+            values, degenerate = chsh_batch(axes, speed, direction)
+            want, want_degenerate = parent_chsh(axes, speed, direction)
+            assert_same_bits(values, want)
+            assert np.array_equal(degenerate, want_degenerate)
+            gaps += int(np.isnan(values).sum())
+        assert gaps > 0
+
+    def test_grids_and_single_settings_keep_the_parent_bytes(self):
+        x = np.array([1.0, 0.0, 0.0])
+        cases = [
+            (STANDARD_SETTINGS.axes, np.array([0.0, 0.5, 1.0])[:, None, None],
+             sphere_directions(21)[None, :, :, :]),
+            (STANDARD_SETTINGS.axes, np.array([0.9, 1.0]), sphere_directions(21)[:, :, None, :]),
+            (STANDARD_SETTINGS.axes, np.asarray(1.0), x),
+            (STANDARD_SETTINGS.axes, np.asarray(0.0), x),
+            # Every term a signed zero, so is their sum.
+            (np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], x, [0.0, -1.0, 0.0]]),
+             np.array([0.0, 0.0, 0.5]), np.array([x, -x, [0.0, 0.0, 1.0]])),
+        ]
+        gaps = 0
+        for axes, speed, direction in cases:
+            values, degenerate = chsh_batch(axes, speed, direction)
+            want, want_degenerate = parent_chsh(axes, speed, direction)
+            assert_same_bits(np.atleast_1d(values), np.atleast_1d(want))
+            assert np.array_equal(degenerate, want_degenerate)
+            gaps += int(np.isnan(values).sum())
+        assert gaps > 0
+
+
 class TestScanBetaPhi:
     def test_rest_row_is_flat(self):
         table = scan_beta_phi(STANDARD_SETTINGS, [0.0], np.linspace(0.0, 2 * math.pi, 8))

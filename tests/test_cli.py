@@ -349,6 +349,26 @@ class TestDiracCheck:
         assert f"exceeds {math.sqrt(np.finfo(float).max)!r}" in err
         assert "Warning" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [("--p", "0,0,0", "--m", "1e-160"),
+                                      ("--p=0,0,1e-155", "--m", "0"),
+                                      ("--p=0,0,1e-300", "--m", "0"),
+                                      ("--p=1e-154,0,0", "--m", "0")])
+    def test_energy_whose_square_underflows_is_a_usage_error_without_warning(self, capsys, argv):
+        code, out, err = run(capsys, "dirac-check", *argv, "--trials", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: energy hypot(|p|, m) = ")
+        assert f"is below {math.sqrt(np.finfo(float).tiny)!r}" in err
+        assert "Warning" not in err and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [("--p=1.4916681462400413e-154,0,0", "--m", "0"),
+                                      ("--p", "0,0,0", "--m", "1.4916681462400413e-154")])
+    def test_smallest_energy_whose_square_is_normal_passes(self, capsys, argv):
+        code, out, err = run(capsys, "dirac-check", *argv, "--trials", "1")
+        assert (code, err) == (0, "")
+        assert all(r["pass"] for r in json.loads(out))
+
 
 class TestCryptoAudit:
     def test_rest_distribution_is_quiet(self, capsys, tmp_path):

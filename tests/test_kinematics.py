@@ -12,6 +12,7 @@ from conftest import random_beta, random_direction, unit
 from relbell.errors import GammaInconsistent
 from relbell.kinematics import (
     BeamVelocity,
+    alpha_lengths,
     alpha_norm,
     alpha_vector,
     check_unit,
@@ -161,6 +162,31 @@ class TestAlphaVector:
         b = np.linalg.norm(beta)
         value = alpha_norm(a, beta)
         assert math.sqrt(max(1.0 - b * b, 0.0)) - 1e-12 <= value <= 1.0 + 1e-12
+
+
+class TestAlphaLengths:
+    def test_batch_rows_are_the_scalar_norms(self, rng):
+        # (6, 4, 3) axes against (6,) speeds and (6, 3) directions; one of
+        # them at light speed.
+        axes = np.array([[random_direction(rng) for _ in range(4)] for _ in range(6)])
+        direction = np.array([random_direction(rng) for _ in range(6)])
+        speed = np.append(rng.uniform(0.0, 1.0, 5), 1.0)
+        n_dot, len2 = alpha_lengths(axes, speed, direction)
+        assert n_dot.shape == len2.shape == (6, 4)
+        for k in range(6):
+            bv = BeamVelocity(beta=speed[k] * direction[k], magnitude=float(speed[k]),
+                              direction=direction[k])
+            for j in range(4):
+                assert_allclose(n_dot[k, j], direction[k] @ axes[k, j], rtol=0.0, atol=1e-15)
+                assert math.sqrt(len2[k, j]) == alpha_norm(axes[k, j], bv)
+                assert_allclose(alpha_norm(axes[k, j], bv),
+                                np.linalg.norm(alpha_vector(axes[k, j], bv)), atol=1e-14)
+        assert_allclose(np.sqrt(len2[5]), np.abs(n_dot[5]), rtol=1e-15, atol=0.0)
+
+    def test_scalar_speed_broadcasts(self):
+        n_dot, len2 = alpha_lengths(np.array([X, Y, Z]), 0.6, Z)
+        assert n_dot.tolist() == [0.0, 0.0, 1.0]
+        assert_allclose(len2, [0.64, 0.64, 1.0], rtol=1e-15, atol=0.0)
 
 
 class TestAlphaVectorPrecision:

@@ -11,9 +11,10 @@ from numpy.testing import assert_allclose
 from conftest import random_beta, random_direction, unit
 from relbell.bell import ChshSettings
 from relbell.errors import DegenerateObservable
-from relbell.kinematics import alpha_vector
+from relbell.kinematics import BeamVelocity, alpha_vector
 from relbell.linalg import ID2, dagger, herm_eig, kron, max_abs, pauli_dot
 from relbell.observables import (
+    correlations,
     eprb_closed_form,
     eprb_oracle,
     helicity_basis,
@@ -223,6 +224,31 @@ class TestClosedForm:
     def test_rejects_non_unit_axes(self):
         with pytest.raises(ValueError):
             eprb_closed_form([2.0, 0.0, 0.0], Y, np.zeros(3))
+
+
+class TestCorrelations:
+    def test_every_pair_of_a_batch_is_the_closed_form(self, rng):
+        # (5, 3, 3) left and (5, 2, 3) right axes: 5 x 3 x 2 correlations.
+        left = np.array([[random_direction(rng) for _ in range(3)] for _ in range(5)])
+        right = np.array([[random_direction(rng) for _ in range(2)] for _ in range(5)])
+        direction = np.array([random_direction(rng) for _ in range(5)])
+        speed = rng.uniform(0.0, 1.0, 5)
+        corr, degenerate = correlations(left, right, speed, direction)
+        assert corr.shape == (5, 3, 2) and degenerate.shape == (5, 5)
+        assert not degenerate.any()
+        for k in range(5):
+            bv = BeamVelocity(beta=speed[k] * direction[k], magnitude=float(speed[k]),
+                              direction=direction[k])
+            for i in range(3):
+                for j in range(2):
+                    assert corr[k, i, j] == eprb_closed_form(left[k, i], right[k, j], bv)
+                    assert abs(corr[k, i, j] - eprb_oracle(left[k, i], right[k, j], bv)) < 1e-12
+
+    def test_degenerate_axes_are_marked_and_their_pairs_are_nan(self):
+        corr, degenerate = correlations(np.array([X, Y]), np.array([Z, -X]), 1.0, X)
+        assert degenerate.tolist() == [False, True, True, False]
+        assert corr[0, 1] == 1.0
+        assert np.isnan(corr[0, 0]) and np.isnan(corr[1]).all()
 
 
 class TestNonFiniteAxes:

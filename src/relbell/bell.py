@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateObservable, EmptyGrid
-from .kinematics import _UNIT_TOL, BeamVelocity, check_unit
+from .kinematics import BeamVelocity, check_unit, lengths_and_directions
 from .observables import correlations
 
 # Correctly rounded 1/sqrt(2); 1.0/math.sqrt(2.0) is one ulp low and the
@@ -90,18 +90,6 @@ STANDARD_SETTINGS = ChshSettings(
 )
 
 
-def _check_unit_rows(v, name, labels=None) -> None:
-    """Raise ValueError naming the first row of v that is not a unit
-    vector within 1e-12 (non-finite rows included)."""
-    norm = np.sqrt(np.einsum("...j,...j->...", v, v))
-    unit = np.abs(norm - 1.0) <= _UNIT_TOL
-    if np.count_nonzero(unit) < unit.size:
-        idx = tuple(int(i) for i in np.argwhere(~unit)[0])
-        if labels is not None:
-            name = f"{name} {labels[idx[-1]]}"
-        raise ValueError(f"{name} must be a unit vector, got |v| = {float(norm[idx])!r}")
-
-
 def chsh_batch(axes, speed, direction):
     """CHSH values over a batch of velocities, validated once per batch.
 
@@ -122,8 +110,8 @@ def chsh_batch(axes, speed, direction):
     if axes.shape[-2:] != (4, 3) or direction.shape[-1:] != (3,):
         raise ValueError(f"settings axes must have shape (..., 4, 3) and directions (..., 3), "
                          f"got {axes.shape} and {direction.shape}")
-    _check_unit_rows(axes, "setting", _LABELS)
-    _check_unit_rows(direction, "motion direction")
+    check_unit(axes, "setting", _LABELS)
+    check_unit(direction, "motion direction")
     if not (speed.min(initial=0.0) >= 0.0 and speed.max(initial=0.0) <= 1.0):
         bad = speed[~((speed >= 0.0) & (speed <= 1.0))].flat[0]
         raise ValueError(f"speed must be finite and lie in [0, 1], got {float(bad)!r}")
@@ -199,8 +187,7 @@ def chsh_value(settings: ChshSettings, beta) -> float:
     |beta| = 1 makes an axis degenerate.
     """
     bv = BeamVelocity.of(beta)
-    axes = settings.axes
-    _check_unit_rows(axes, "setting", _LABELS)
+    axes = check_unit(settings.axes, "setting", _LABELS)
     value, degenerate = _chsh(axes, bv.magnitude, bv.direction)
     if np.count_nonzero(degenerate):
         label = _LABELS[int(np.argmax(degenerate))]
@@ -386,14 +373,11 @@ def calibrated_settings(beta, initial: ChshSettings | None = None) -> ChshSettin
     if initial is not None:
         axes = initial.axes
         par = np.outer(axes @ n, n)
-        deformed = shrink * (axes - par) + par
-        deformed /= np.linalg.norm(deformed, axis=1, keepdims=True)
+        deformed = lengths_and_directions(shrink * (axes - par) + par)[1]
         u, _, vt = np.linalg.svd(deformed.T @ target)
         target = target @ (u @ vt).T
     par = np.outer(target @ n, n)
-    axes = (target - par) / shrink + par
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    return ChshSettings(*axes)
+    return ChshSettings(*lengths_and_directions((target - par) / shrink + par)[1])
 
 
 def maximize_chsh(beta, restarts: int = 8, initial: ChshSettings | None = None,

@@ -44,7 +44,7 @@ from .bell import (
 )
 from .dirac import dirac_battery, kinetic_records
 from .errors import RelbellError
-from .kinematics import BeamVelocity, random_direction
+from .kinematics import BeamVelocity, lengths_and_directions, random_direction
 from .observables import eprb_closed_form, eprb_oracle
 
 _MAX_CHSH = 2.0 * math.sqrt(2.0)
@@ -70,25 +70,17 @@ def _floats(text: str, count: int):
 
 
 def _unit_arg(values, name: str):
-    """values / |values| for a finite nonzero vector, with a warning on
-    stderr when it was not unit length.
-
-    |v| is sqrt(v . v), np.linalg.norm's arithmetic, except where
-    components beyond 1e150 or all below 1e-150 would make the squares
-    overflow or underflow: there it is math.hypot.
-    """
+    """The direction of a finite nonzero vector from
+    ``kinematics.lengths_and_directions``, with a warning on stderr when
+    the vector was not unit length."""
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"{name} components must be finite")
-    v = np.array(values)
-    if 1e-150 <= max(map(abs, values)) <= 1e150:
-        norm = math.sqrt(v.dot(v))
-    else:
-        norm = math.hypot(*values)
+    norm, direction = lengths_and_directions(values)
     if norm == 0.0:
         raise argparse.ArgumentTypeError(f"{name} must be a nonzero vector")
     if abs(norm - 1.0) > 1e-12:
-        sys.stderr.write(f"warning: {name} normalized from |v|={norm!r}\n")
-    return v / norm
+        sys.stderr.write(f"warning: {name} normalized from |v|={float(norm)!r}\n")
+    return direction
 
 
 def _direction_arg(flag: str):

@@ -42,7 +42,7 @@ from .errors import (
     SpectrumMismatch,
     ZeroHelicity,
 )
-from .kinematics import _UNIT_TOL, check_unit, lengths_and_directions, orthonormal_triad, speeds
+from .kinematics import check_unit, lengths_and_directions, orthonormal_triad
 from .linalg import HERMITICITY_TOL, ID2, PAULI, hermitian_deviation
 
 ID4 = np.eye(4, dtype=complex)
@@ -542,9 +542,7 @@ def dirac_battery(p, m, a) -> tuple:
     if p.ndim != 2 or p.shape[1] != 3 or m.shape != p.shape[:1] or a.shape != p.shape:
         raise ValueError(f"need p (N, 3), m (N,) and a (N, 3), got {p.shape}, {m.shape}, {a.shape}")
     _validate(p, m)
-    norm = speeds(a)
-    _reject(~(np.abs(norm - 1.0) <= _UNIT_TOL), ValueError,
-            lambda k: f"analyzer axis must be a unit vector, got |v| = {float(norm[k])!r}")
+    check_unit(a, "analyzer axis", "trial")
     worst = {}
     for first in range(0, len(p), _BLOCK):
         block = slice(first, first + _BLOCK)

@@ -31,16 +31,13 @@ from .errors import GammaInconsistent
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
-_UNIT_TOL = 1e-12
-
 
 def unit_vector(v) -> np.ndarray:
     """Normalize a nonzero 3-vector to unit length."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    length, direction = lengths_and_directions(np.asarray(v, dtype=float).reshape(3))
+    if length == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return v / norm
+    return direction
 
 
 def random_direction(rng) -> np.ndarray:
@@ -52,58 +49,79 @@ def random_direction(rng) -> np.ndarray:
     """
     while True:
         v = rng.normal(size=3)
-        # np.linalg.norm's own arithmetic, without its dispatch cost.
+        # Its own arithmetic, not lengths_and_directions': every seeded
+        # stream of directions keeps its bits.
         norm = math.sqrt(v.dot(v))
         if norm > 1e-6:
             return v / norm
 
 
-def check_unit(v, name: str = "direction") -> np.ndarray:
-    """Validate that v is a unit 3-vector within 1e-12 and return it; a
-    non-finite component fails too."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(v))
-    if not (abs(norm - 1.0) <= _UNIT_TOL):
-        raise ValueError(f"{name} must be a unit vector, got |v| = {norm!r}")
+def check_unit(v, name: str = "direction", labels=None) -> np.ndarray:
+    """Validate that every row of v, (..., 3), is a unit vector within
+    1e-12 by its ``speeds`` length, and return v; a non-finite row fails.
+    The error names the first failing row: by ``labels[i]`` after ``name``,
+    i its index on the last batch axis, or by ``(labels i)`` at the end
+    when ``labels`` is a str."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    length = speeds(v)
+    unit = np.abs(length - 1.0) <= 1e-12
+    if np.count_nonzero(unit) < unit.size:
+        idx = tuple(np.argwhere(~unit)[0].tolist())
+        text = f"must be a unit vector, got |v| = {float(length[idx])!r}"
+        if isinstance(labels, str):
+            raise ValueError(f"{name} {text} ({labels} {idx[-1]})")
+        if labels is not None:
+            name = f"{name} {labels[idx[-1]]}"
+        raise ValueError(f"{name} {text}")
     return v
 
 
 def speeds(betas) -> np.ndarray:
-    """|beta| of each velocity in a (..., 3) array.
-
-    The one speed that ``VelocityDistribution.from_samples`` checks and
-    that ``lengths_and_directions`` gives ``audit.per_sample_chsh`` for
-    every row above about 1e-146, so a sample accepted as slower than
-    light reaches the kernel at exactly the speed that was checked. The
-    result for a row does not depend on the other rows.
-    """
-    betas = np.asarray(betas, dtype=float)
-    return np.sqrt(np.einsum("...j,...j->...", betas, betas))
-
-
-#: A sum of squares of float components below this has lost bits to
-#: underflow (the smallest normal number over the unit roundoff).
-_SQUARES_LOSSLESS = float(np.finfo(float).tiny / np.finfo(float).eps)
+    """|beta| of each velocity in a (..., 3) array, as ``lengths_and_directions``
+    gives it: a velocity checked against light speed reaches every kernel
+    at exactly the speed that was checked."""
+    return _scaled_lengths(betas)[0]
 
 
 def lengths_and_directions(v):
-    """|v| and v / |v| for each row of a (..., 3) array.
+    """|v| and v / |v| for each row of a (..., 3) array: the one length and
+    direction of a real 3-vector, velocity or axis.
 
-    A zero row gets length 0 and direction 0. A nonzero row whose sum of
-    squares would lose bits to underflow (|v| below about 1e-146) is
-    divided by its largest component first, so its direction is a unit
-    vector to rounding; every other row is divided by ``speeds(v)``.
+    A row's length is the square root of its einsum sum of squares, which
+    does not depend on the other rows. A row whose length falls outside
+    [_LENGTH_MIN, _LENGTH_MAX] (zero, tiny, huge or non-finite) is divided
+    by its largest component first: its direction is then a unit vector to
+    rounding, and its length finite up to about 1e308. A zero row gets
+    direction 0; a non-finite row is its own direction.
     """
+    length, v, divisor = _scaled_lengths(v)
+    return length, v / divisor[..., None]
+
+
+#: Lengths whose sum of squares neither overflows nor loses bits to
+#: underflow (the smallest normal number over the unit roundoff).
+_LENGTH_MIN = math.sqrt(float(np.finfo(float).tiny / np.finfo(float).eps))
+_LENGTH_MAX = 1e150
+
+
+def _scaled_lengths(v):
+    """The lengths, and the rows and divisors whose quotients are the
+    directions, of ``lengths_and_directions``."""
     v = np.asarray(v, dtype=float)
-    length = speeds(v)
-    scale = 1.0
-    tiny = (length * length < _SQUARES_LOSSLESS) & np.any(v != 0.0, axis=-1)
-    if np.any(tiny):
-        # Other rows are divided by 1, which leaves their bits alone.
-        scale = np.where(tiny, np.max(np.abs(v), axis=-1), 1.0)
-        v = v / scale[..., None]
-        length = speeds(v)
-    return scale * length, v / np.where(length > 0.0, length, 1.0)[..., None]
+    length = np.sqrt(np.einsum("...j,...j->...", v, v))
+    inside = (length >= _LENGTH_MIN) & (length <= _LENGTH_MAX)
+    if np.count_nonzero(inside) == inside.size:
+        return length, v, length
+    # Rows inside the range, and rows without a finite nonzero largest
+    # component, are divided by 1, which leaves their bits alone.
+    big = np.max(np.abs(v), axis=-1)
+    scale = np.where(~inside & (big > 0.0) & (big < math.inf), big, 1.0)
+    v = v / scale[..., None]
+    length = np.sqrt(np.einsum("...j,...j->...", v, v))
+    with np.errstate(over="ignore"):
+        return scale * length, v, np.where((length > 0.0) & (length < math.inf), length, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,25 +142,13 @@ class BeamVelocity:
         if isinstance(value, cls):
             return value
         beta = np.asarray(value, dtype=float).reshape(3)
-        # np.linalg.norm's own arithmetic, without its dispatch cost. The
-        # squares of components above 1e150 may overflow to inf: silently.
-        if max(map(abs, beta.tolist())) > 1e150:
-            with np.errstate(over="ignore"):
-                squares = float(beta.dot(beta))
-        else:
-            squares = float(beta.dot(beta))
-        if not math.isfinite(squares) and not np.isfinite(beta).all():
-            raise ValueError("velocity components must be finite")
-        mag = math.sqrt(squares)
-        if mag > 1.0:
+        length, direction = lengths_and_directions(beta)
+        mag = float(length)
+        if not mag <= 1.0:
+            if not np.isfinite(beta).all():
+                raise ValueError("velocity components must be finite")
             raise ValueError(f"superluminal velocity |beta| = {mag!r} > 1")
-        if mag * mag < _SQUARES_LOSSLESS and np.any(beta):
-            # The squares underflowed: rescale, or the direction misses unit length.
-            length, direction = lengths_and_directions(beta)
-            mag = float(length)
-        else:
-            direction = beta / mag if mag > 0.0 else Z_AXIS.copy()
-        return cls(beta=beta, magnitude=mag, direction=direction)
+        return cls(beta=beta, magnitude=mag, direction=direction if mag > 0.0 else Z_AXIS.copy())
 
     @property
     def gamma(self) -> float:

@@ -110,7 +110,7 @@ def spin_observable(a, beta) -> SpinObservable:
     length = alpha_norm(a, bv)
     if length <= DEGENERACY_THRESHOLD:
         raise DegenerateObservable(
-            f"axis {tuple(a)} is orthogonal to a light-speed beam; |alpha| = {length!r}"
+            f"axis {tuple(a.tolist())} is orthogonal to a light-speed beam; |alpha| = {length!r}"
         )
     return SpinObservable(
         axis=a,
@@ -155,7 +155,7 @@ def eprb_closed_form(a, b, beta) -> float:
     value, degenerate = correlations(a[None], b[None], bv.magnitude, bv.direction)
     if np.count_nonzero(degenerate):
         name, axis = ("a", a) if degenerate[0] else ("b", b)
-        raise DegenerateObservable(f"axis {name} = {tuple(axis)} degenerate at "
+        raise DegenerateObservable(f"axis {name} = {tuple(axis.tolist())} degenerate at "
                                    f"|beta| = {bv.magnitude!r}")
     return float(value[0, 0])
 

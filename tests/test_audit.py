@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_beta
+from conftest import random_beta, random_direction
 from relbell.audit import (
     FALSE_ALARM_RISK,
     NO_ALARM,
@@ -29,7 +29,7 @@ from relbell.audit import (
 from relbell.bell import STANDARD_SETTINGS, chsh_batch, chsh_value
 from relbell.errors import EmptyDistribution, ParseError, SuperluminalSample
 from relbell.format17 import format_17g
-from relbell.kinematics import speeds
+from relbell.kinematics import BeamVelocity, speeds
 
 # The module, not the audit() function that relbell exports under its name.
 audit_module = importlib.import_module("relbell.audit")
@@ -249,6 +249,39 @@ class TestOneSuperluminalPredicate:
         speed = speeds(dist.betas)
         expected, _ = chsh_batch(STANDARD_SETTINGS.axes, speed, dist.betas / speed[:, None])
         assert np.array_equal(per_sample_chsh(dist, STANDARD_SETTINGS), expected)
+
+
+def _route_velocities(rng, n=800):
+    """Velocities at uniform speeds below 1, at 1 - |beta| down to 1e-12,
+    and with components near 1e-160 and near 1e200."""
+    direction = np.array([random_direction(rng) for _ in range(4 * n)])
+    speed = np.concatenate([rng.uniform(0.0, 1.0, n), 1.0 - 10.0 ** rng.uniform(-12.0, -1.0, n),
+                            10.0 ** rng.uniform(-161.0, -159.0, n),
+                            10.0 ** rng.uniform(199.0, 201.0, n)])
+    return speed[:, None] * direction
+
+
+class TestRoutesAgree:
+    def test_chsh_and_a_one_sample_audit_agree_on_every_velocity(self, rng):
+        accepted = 0
+        for beta in _route_velocities(rng):
+            try:
+                bv = BeamVelocity.of(beta)
+            except ValueError:
+                bv = None
+            try:
+                dist = VelocityDistribution.from_samples([beta], [1.0])
+            except SuperluminalSample:
+                dist = None
+            if bv is not None:
+                assert bv.magnitude == speeds(beta)
+            # Both routes take |beta| = 1; only audit samples must stay below it.
+            assert (bv is not None and bv.magnitude < 1.0) == (dist is not None)
+            if dist is not None:
+                accepted += 1
+                want = per_sample_chsh(dist, STANDARD_SETTINGS)[0]
+                assert chsh_value(STANDARD_SETTINGS, beta) == want
+        assert 1600 <= accepted < 3200
 
 
 class TestPerSampleDirections:

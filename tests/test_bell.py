@@ -283,6 +283,36 @@ def isotropic_sample(rng, n):
     return rng.uniform(0.0, 0.999, n), direction
 
 
+class TestBatchLayout:
+    """A velocity gets the same CHSH bits wherever it sits in a batch: in
+    scan_theta_phi's broadcast grid, in a flat batch and alone, the three
+    layouts that fig2 cells, audit samples and single calls use."""
+
+    @pytest.mark.parametrize("random_settings", [False, True])
+    def test_grid_flat_and_alone_agree(self, rng, random_settings):
+        settings = STANDARD_SETTINGS
+        if random_settings:
+            settings = ChshSettings.of(*(random_direction(rng) for _ in range(4)))
+        grid = 17
+        speeds = np.array([0.9, 0.99, 1.0])
+        direction = sphere_directions(grid)
+        thetas = np.linspace(0.0, math.pi, grid)
+        phis = np.linspace(0.0, 2.0 * math.pi, grid)
+        table = scan_theta_phi(settings, speeds, thetas, phis).values
+        in_grid, _ = chsh_batch(settings.axes, speeds, direction[:, :, None, :])
+        # At speed 1 the standard settings degenerate on the equator: gaps.
+        assert np.isnan(in_grid[..., 2]).any() != random_settings
+        assert_same_bits(table, in_grid)
+        flat = direction.reshape(-1, 3)
+        for k, speed in enumerate(speeds.tolist()):
+            want = in_grid[..., k].reshape(-1)
+            assert_same_bits(chsh_batch(settings.axes, np.full(len(flat), speed), flat)[0], want)
+            assert_same_bits(chsh_batch(settings.axes, speed, flat)[0], want)
+            for i in rng.choice(len(flat), 12, replace=False).tolist():
+                alone = chsh_batch(settings.axes, speed, flat[i])[0]
+                assert_same_bits(alone.reshape(1), want[i:i + 1])
+
+
 class TestRowSums:
     @pytest.mark.parametrize("family", ROW_FAMILIES)
     def test_bit_identical_to_fsum_on_each_family(self, family, rng):

@@ -67,6 +67,26 @@ class TestCorrelate:
         assert code == 2
         assert "DegenerateObservable" in err
 
+    def test_degenerate_axis_text_has_plain_floats(self, capsys):
+        code, out, err = run(
+            capsys, "correlate", "--a", "1,0,0", "--b", "0,0,1", "--beta", "0,1,0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "DegenerateObservable: axis a = (1.0, 0.0, 0.0) degenerate at |beta| = 1.0\n"
+
+    # Squares of 3e200 overflow and those of 3e-200 underflow: both rows are
+    # divided by their largest component before their lengths are taken.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, length", [("3e200,4e200,0", "4.9999999999999995e+200"),
+                                           ("3e-200,4e-200,0", "5e-200")])
+    def test_axis_of_extreme_magnitude(self, capsys, a, length):
+        assert cli._unit_arg([float(x) for x in a.split(",")], "--a").tolist() == [0.6, 0.8, 0.0]
+        capsys.readouterr()
+        code, out, err = run(capsys, "correlate", f"--a={a}", "--b=0.6,0.8,0", "--beta=0,0,0")
+        assert code == 0
+        assert err == f"warning: --a normalized from |v|={length}\n"
+        assert out.splitlines()[0] == "closed_form=-1.0"
+
     def test_superluminal_beta_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "correlate", "--a", "1,0,0", "--b", "0,1,0", "--beta", "2,0,0")
@@ -101,7 +121,7 @@ class TestChsh:
     def test_overflowing_beta_is_usage_error_without_warning(self, capsys):
         code, out, err = outcome(capsys, ["chsh", "--beta=1e200,0,0"])
         assert (code, out) == (1, "")
-        assert err.endswith("error: argument --beta: superluminal velocity |beta| = inf > 1\n")
+        assert err.endswith("error: argument --beta: superluminal velocity |beta| = 1e+200 > 1\n")
         assert "Warning" not in err
 
     def test_custom_settings(self, capsys):

@@ -82,13 +82,14 @@ class TestBeamVelocity:
         assert check_unit(v.direction) is not None
 
     def test_other_velocities_keep_their_bits(self, rng):
-        # Only inputs whose squared norm loses bits take the rescaled route.
+        # Only inputs whose squared norm loses bits take the rescaled route;
+        # the others get the einsum length of lengths_and_directions.
         for scale in (1.0, 1e-3, 1e-100, 1e-140):
             for _ in range(50):
                 beta = scale * random_beta(rng)
                 v = BeamVelocity.of(beta)
-                norm = np.linalg.norm(beta)
-                assert v.magnitude == norm
+                norm = np.sqrt(np.einsum("j,j->", beta, beta))
+                assert v.magnitude == norm == lengths_and_directions(beta)[0]
                 assert np.array_equal(v.direction, beta / norm)
 
 
@@ -101,6 +102,19 @@ class TestLengthsAndDirections:
         assert length[20] == 0.0 and np.array_equal(direction[20], np.zeros(3))
         assert_allclose(length[21], 5e-170, rtol=1e-15)
         assert_allclose(direction[21], [0.0, 0.6, -0.8], atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_and_non_finite_rows(self):
+        v = np.array([[1e200, 1e200, 0.0], [3e307, 4e307, 0.0], [math.inf, 0.0, 0.0],
+                      [math.nan, 1.0, 0.0], [0.6, 0.8, 0.0]])
+        length, direction = lengths_and_directions(v)
+        assert_allclose(length[:2], [math.sqrt(2.0) * 1e200, 5e307], rtol=1e-15)
+        assert_allclose(direction[:2], [[math.sqrt(0.5), math.sqrt(0.5), 0.0], [0.6, 0.8, 0.0]],
+                        atol=1e-15)
+        assert length[2] == math.inf and math.isnan(length[3])
+        assert np.array_equal(direction[2:4], v[2:4], equal_nan=True)
+        assert length[4] == np.sqrt(np.einsum("j,j->", v[4], v[4]))
+        assert np.array_equal(direction[4], v[4] / length[4])
 
 
 class TestDecompose:

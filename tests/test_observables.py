@@ -133,6 +133,12 @@ class TestSpinObservable:
         with pytest.raises(DegenerateObservable):
             spin_observable(X, Z)
 
+    def test_degenerate_axis_text_has_plain_floats(self):
+        with pytest.raises(DegenerateObservable) as excinfo:
+            spin_observable([1, 0, 0], [0, 1, 0])
+        assert str(excinfo.value) == ("axis (1.0, 0.0, 0.0) is orthogonal to a light-speed beam; "
+                                      "|alpha| = 0.0")
+
     def test_records_alpha_length(self):
         obs = spin_observable(X, np.array([0.0, 0.0, 0.8]))
         assert_allclose(obs.alpha_length, 0.6, atol=1e-15)

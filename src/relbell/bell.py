@@ -111,7 +111,7 @@ def chsh_batch(axes, speed, direction):
         raise ValueError(f"settings axes must have shape (..., 4, 3) and directions (..., 3), "
                          f"got {axes.shape} and {direction.shape}")
     check_unit(axes, "setting", _LABELS)
-    check_unit(direction, "motion direction")
+    check_unit(direction.reshape(-1, 3), "motion direction", "row")
     if not (speed.min(initial=0.0) >= 0.0 and speed.max(initial=0.0) <= 1.0):
         bad = speed[~((speed >= 0.0) & (speed <= 1.0))].flat[0]
         raise ValueError(f"speed must be finite and lie in [0, 1], got {float(bad)!r}")

@@ -57,12 +57,13 @@ def random_direction(rng) -> np.ndarray:
 
 
 def check_unit(v, name: str = "direction", labels=None) -> np.ndarray:
-    """Validate that every row of v, (..., 3), is a unit vector within
-    1e-12 by its ``speeds`` length, and return v; a non-finite row fails.
-    The error names the first failing row: by ``labels[i]`` after ``name``,
-    i its index on the last batch axis, or by ``(labels i)`` at the end
-    when ``labels`` is a str."""
+    """Validate that v, one 3-vector or with labels a batch (..., 3), is
+    unit within 1e-12 by its ``speeds`` length, and return it with shape
+    (3,) or (..., 3); a non-finite row fails. The error names the first
+    failing row by ``labels[i]`` after ``name``, i its index on the last
+    batch axis, or by ``(labels i)`` at the end when ``labels`` is a str."""
     v = np.asarray(v, dtype=float)
+    v = v.reshape(3) if labels is None else v
     if v.shape[-1:] != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
     length = speeds(v)
@@ -90,11 +91,11 @@ def lengths_and_directions(v):
     direction of a real 3-vector, velocity or axis.
 
     A row's length is the square root of its einsum sum of squares, which
-    does not depend on the other rows. A row whose length falls outside
-    [_LENGTH_MIN, _LENGTH_MAX] (zero, tiny, huge or non-finite) is divided
-    by its largest component first: its direction is then a unit vector to
-    rounding, and its length finite up to about 1e308. A zero row gets
-    direction 0; a non-finite row is its own direction.
+    does not depend on the other rows. A row whose sum of squares loses
+    bits to underflow or overflows (zero, tiny, huge or non-finite) is
+    divided by its largest component first: its direction is then a unit
+    vector to rounding, and its length finite up to about 1e308. A zero
+    row gets direction 0; a non-finite row is its own direction.
     """
     length, v, divisor = _scaled_lengths(v)
     return length, v / divisor[..., None]
@@ -103,7 +104,7 @@ def lengths_and_directions(v):
 #: Lengths whose sum of squares neither overflows nor loses bits to
 #: underflow (the smallest normal number over the unit roundoff).
 _LENGTH_MIN = math.sqrt(float(np.finfo(float).tiny / np.finfo(float).eps))
-_LENGTH_MAX = 1e150
+_LENGTH_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def _scaled_lengths(v):
@@ -114,8 +115,7 @@ def _scaled_lengths(v):
     inside = (length >= _LENGTH_MIN) & (length <= _LENGTH_MAX)
     if np.count_nonzero(inside) == inside.size:
         return length, v, length
-    # Rows inside the range, and rows without a finite nonzero largest
-    # component, are divided by 1, which leaves their bits alone.
+    # Other rows, and rows without a finite nonzero maximum, are divided by 1.
     big = np.max(np.abs(v), axis=-1)
     scale = np.where(~inside & (big > 0.0) & (big < math.inf), big, 1.0)
     v = v / scale[..., None]

@@ -179,6 +179,12 @@ class TestChshBatch:
             for k, d in enumerate(dirs):
                 assert abs(values[i, k] - chsh_value(STANDARD_SETTINGS, mag * d)) < 1e-15
 
+    def test_names_the_failing_direction_row(self):
+        directions = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.000000001]]
+        with pytest.raises(ValueError, match=r"motion direction must be a unit vector, "
+                                             r"got \|v\| = 1\.000000001 \(row 1\)"):
+            chsh_batch(STANDARD_SETTINGS.axes, 0.5, directions)
+
     def test_rejects_invalid_batches(self):
         axes = STANDARD_SETTINGS.axes
         z = np.array([0.0, 0.0, 1.0])

@@ -361,3 +361,14 @@ class TestUnitHelpers:
     def test_check_unit_names_the_offender(self):
         with pytest.raises(ValueError, match="analyzer_a"):
             check_unit(np.array([0.0, 0.0, 1.1]), "analyzer_a")
+
+    def test_single_vector_entry_points_reject_batches(self):
+        # Without labels check_unit takes one 3-vector, as every
+        # single-axis entry point expects; a (1, 3) array is reshaped.
+        pair = np.array([Z, Z])
+        for call in (lambda v: check_unit(v), orthonormal_triad,
+                     lambda v: alpha_vector(v, [0.5, 0.0, 0.0])):
+            with pytest.raises(ValueError):
+                call(pair)
+        assert check_unit(Z[None]).shape == (3,)
+        assert check_unit(pair, "axis", "row") is not None

@@ -38,9 +38,8 @@ from .kinematics import (
     spin_structure_constants,
     w_projection_eigenvalues,
 )
-from .linalg import commutator, herm_eig, kron, max_abs, pauli_dot
+from .linalg import herm_eig, kron, max_abs, pauli_dot
 from .observables import (
-    PairState,
     SpinObservable,
     eprb_closed_form,
     eprb_oracle,

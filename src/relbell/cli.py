@@ -45,7 +45,7 @@ from .bell import (
 from .dirac import dirac_battery, kinetic_records
 from .errors import RelbellError
 from .kinematics import BeamVelocity, lengths_and_directions, random_direction
-from .observables import eprb_closed_form, eprb_oracle
+from .observables import correlations, eprb_closed_form, eprb_oracle, oracle_correlations
 
 _MAX_CHSH = 2.0 * math.sqrt(2.0)
 
@@ -198,40 +198,32 @@ def _cmd_crypto_audit(args) -> int:
     return 3 if report.verdict == FALSE_ALARM_RISK else 0
 
 
-def _cmd_selftest(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    lines = []
-    ok = True
-
-    max_diff = 0.0
-    for _ in range(args.samples):
-        a = random_direction(rng)
-        b = random_direction(rng)
-        beta = rng.uniform(0.0, 0.999) * random_direction(rng)
-        max_diff = max(max_diff, abs(eprb_closed_form(a, b, beta) - eprb_oracle(a, b, beta)))
-    passed = max_diff < 1e-12
-    ok = ok and passed
-    lines.append(f"oracle_equivalence samples={args.samples} max_diff={max_diff!r} "
-                 f"limit=1e-12 {'PASS' if passed else 'FAIL'}")
-
-    bound = _MAX_CHSH + 1e-9
-    count = 10 * args.samples
-    axes = np.empty((count, 4, 3))
+def _draw(rng, count: int, axes: int):
+    """Rows of ``axes`` random directions, a speed in [0, 0.999) and a motion direction."""
+    a = np.empty((count, axes, 3))
     speed = np.empty(count)
     direction = np.empty((count, 3))
     for k in range(count):
-        for j in range(4):
-            axes[k, j] = random_direction(rng)
+        a[k] = [random_direction(rng) for _ in range(axes)]
         speed[k] = rng.uniform(0.0, 0.999)
         direction[k] = random_direction(rng)
-    max_c = float(np.max(np.abs(chsh_batch(axes, speed, direction)[0])))
-    passed = max_c <= bound
-    ok = ok and passed
-    lines.append(f"chsh_bound samples={count} max_abs={max_c!r} "
-                 f"limit={bound!r} {'PASS' if passed else 'FAIL'}")
+    return a, speed, direction
 
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 2
+
+def _cmd_selftest(args) -> int:
+    rng = np.random.default_rng(args.seed)
+    axes, speed, direction = _draw(rng, args.samples, 2)
+    closed = correlations(axes[:, :1], axes[:, 1:], speed, direction)[0]
+    oracle = oracle_correlations(axes[:, :1], axes[:, 1:], speed, direction)[0]
+    max_diff = float(np.max(np.abs(closed - oracle)))
+    count = 10 * args.samples
+    max_c = float(np.max(np.abs(chsh_batch(*_draw(rng, count, 4))[0])))
+    bound = _MAX_CHSH + 1e-9
+    checks = ((f"oracle_equivalence samples={args.samples} max_diff={max_diff!r} limit=1e-12",
+               max_diff < 1e-12),
+              (f"chsh_bound samples={count} max_abs={max_c!r} limit={bound!r}", max_c <= bound))
+    _emit("".join(f"{line} {'PASS' if passed else 'FAIL'}\n" for line, passed in checks), args.out)
+    return 0 if all(passed for _, passed in checks) else 2
 
 
 @functools.cache

@@ -190,12 +190,19 @@ def alpha_vector(a, beta) -> np.ndarray:
     """
     a = check_unit(a, "analyzer axis")
     bv = BeamVelocity.of(beta)
-    if bv.magnitude == 0.0:
-        return a.copy()
-    a_par, a_perp = decompose(a, bv.direction)
+    return alpha_vectors(a[None], bv.magnitude, bv.direction)[0]
+
+
+def alpha_vectors(axes, speed, direction):
+    """``alpha_vector`` (..., K, 3) of axes (..., K, 3), the rest as in ``alpha_lengths``,
+    not validated. Each n.a is a one-row matmul, which has np.dot's bits."""
+    speed = np.asarray(speed, dtype=float)[..., None, None]
+    n = np.asarray(direction, dtype=float)[..., None, :]
+    a_par = (n[..., None, :] @ axes[..., None])[..., 0] * n
     # (1 - |beta|)(1 + |beta|) keeps full relative precision near light
     # speed, where 1 - |beta|^2 from a rounded square does not.
-    return math.sqrt((1.0 - bv.magnitude) * (1.0 + bv.magnitude)) * a_perp + a_par
+    alpha = np.sqrt((1.0 - speed) * (1.0 + speed)) * (axes - a_par) + a_par
+    return np.where(speed == 0.0, axes, alpha)
 
 
 def alpha_lengths(axes, speed, direction):

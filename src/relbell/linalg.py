@@ -34,9 +34,9 @@ def dagger(a) -> np.ndarray:
 
 
 def pauli_dot(v) -> np.ndarray:
-    """The 2x2 matrix v . sigma for a real 3-vector v."""
-    v = np.asarray(v, dtype=float)
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    """The 2x2 matrices v . sigma, (..., 2, 2), for real 3-vectors v (..., 3)."""
+    v = np.asarray(v, dtype=float)[..., None, None]
+    return v[..., 0, :, :] * SIGMA_X + v[..., 1, :, :] * SIGMA_Y + v[..., 2, :, :] * SIGMA_Z
 
 
 def kron(a, b) -> np.ndarray:
@@ -48,29 +48,18 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def commutator(a, b) -> np.ndarray:
-    """a b - b a for two equal-sized square matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise DimensionMismatch(f"commutator needs square matrices, got {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"commutator operands differ in size: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
 def phase_fixed(v) -> np.ndarray:
-    """Rescale a complex vector so its first component of magnitude above
-    1e-12 is real and positive.
+    """Rescale each complex vector along the last axis of v so that its
+    first component of magnitude above 1e-12 is real and positive.
 
-    The vector keeps its norm. A vector with no such component is
+    Each vector keeps its norm. A vector with no such component is
     returned unchanged.
     """
     v = np.asarray(v, dtype=complex)
-    for x in v.flat:
-        if abs(x) > 1e-12:
-            return v * (abs(x) / x)
-    return v
+    big = np.abs(v) > 1e-12
+    first = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)
+    first[~big.any(axis=-1)] = 1.0
+    return v * (np.abs(first) / first)
 
 
 def hermitian_deviation(a) -> np.ndarray:
@@ -96,7 +85,4 @@ def herm_eig(a):
     # Symmetrize before calling LAPACK; a bitwise no-op for exactly
     # Hermitian input, and it halves the error for almost-Hermitian input.
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
-    v = v.copy()
-    for k in range(v.shape[1]):
-        v[:, k] = phase_fixed(v[:, k])
-    return w, v
+    return w, phase_fixed(v.T).T

@@ -23,8 +23,9 @@ ultrarelativistic limit -sign(n.a) sign(n.b).
 Two independent evaluation routes are provided. ``eprb_closed_form``
 computes the expression above from dot products, in ``correlations``, the
 batch kernel that ``bell.chsh_batch`` shares. ``eprb_oracle`` builds the
-observable matrices, the explicit singlet vector and the 4x4 tensor-product
-expectation value; the test suite enforces that the two agree.
+observable matrices, the explicit singlet vector and the tensor-product
+expectation value, in ``oracle_correlations``, the batch kernel of the
+matrix oracle; the test suite enforces that the two agree.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateObservable
-from .kinematics import BeamVelocity, alpha_lengths, alpha_norm, alpha_vector, check_unit
-from .linalg import kron, pauli_dot, phase_fixed
+from .kinematics import BeamVelocity, alpha_lengths, alpha_vectors, check_unit
+from .linalg import pauli_dot, phase_fixed
 
 #: |alpha| at or below this length counts as a collapsed (degenerate) axis.
 DEGENERACY_THRESHOLD = 1e-12
@@ -57,16 +58,30 @@ class SpinObservable:
     alpha_length: float
 
 
-@dataclass(frozen=True, eq=False)
-class PairState:
-    """A two-particle spin state as 4 amplitudes in the product basis
-    (|++>, |+->, |-+>, |-->) of a single-particle basis pair."""
+def _helicity_bases(direction):
+    """``helicity_basis`` (..., 2, 2), plus then minus, of unit directions (..., 3)."""
+    half = np.arccos(np.clip(direction[..., 2], -1.0, 1.0)) / 2.0
+    ephi = np.exp(1j * np.arctan2(direction[..., 1], direction[..., 0]))
+    plus = np.stack((np.cos(half), np.sin(half) * ephi), axis=-1)
+    minus = np.stack((np.sin(half), -np.cos(half) * ephi), axis=-1)
+    return phase_fixed(np.stack((plus, minus), axis=-2))
 
-    amplitudes: np.ndarray
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+def _singlets(direction):
+    """``singlet_state`` (..., 2, 2) of unit directions (..., 3), indexed by
+    the first then the second particle's spin."""
+    bases = _helicity_bases(direction)
+    outer = bases[..., 0, :, None] * bases[..., 1, None, :]
+    return (outer - np.swapaxes(outer, -1, -2)) / math.sqrt(2.0)
+
+
+def _observables(axes, speed, direction):
+    """alpha_hat . sigma (..., K, 2, 2), NaN where degenerate, |alpha| and the
+    degenerate mask (..., K) of axes (..., K, 3); the rest as in ``alpha_lengths``."""
+    length = np.sqrt(alpha_lengths(axes, speed, direction)[1])
+    degenerate = length <= DEGENERACY_THRESHOLD
+    hat = alpha_vectors(axes, speed, direction) / np.where(degenerate, math.nan, length)[..., None]
+    return pauli_dot(hat), length, degenerate
 
 
 def helicity_basis(n):
@@ -76,26 +91,19 @@ def helicity_basis(n):
     positive, which pins the phase everywhere except at isolated basis
     flips near the poles of that convention.
     """
-    n = check_unit(n, "helicity axis")
-    theta = math.acos(max(-1.0, min(1.0, n[2])))
-    phi = math.atan2(n[1], n[0])
-    ephi = complex(math.cos(phi), math.sin(phi))
-    plus = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * ephi])
-    minus = np.array([math.sin(theta / 2.0), -math.cos(theta / 2.0) * ephi])
-    return phase_fixed(plus), phase_fixed(minus)
+    return tuple(_helicity_bases(check_unit(n, "helicity axis")))
 
 
-def singlet_state(n) -> PairState:
+def singlet_state(n) -> np.ndarray:
     """The spin singlet built from the helicity basis along n.
 
-    The result is (|+,n>|-,n> - |-,n>|+,n>)/sqrt(2) written out in the
-    fixed spin-z product basis. Rotation invariance of the singlet makes
-    the amplitudes (0, 1, -1, 0)/sqrt(2) up to one overall phase for
-    every n; the phase is the determinant of the basis change.
+    The result is (|+,n>|-,n> - |-,n>|+,n>)/sqrt(2) as its 4 amplitudes
+    in the fixed spin-z product basis (|++>, |+->, |-+>, |-->). Rotation
+    invariance of the singlet makes them (0, 1, -1, 0)/sqrt(2) up to one
+    overall phase for every n; the phase is the determinant of the basis
+    change.
     """
-    plus, minus = helicity_basis(n)
-    amplitudes = (kron(plus, minus) - kron(minus, plus)) / math.sqrt(2.0)
-    return PairState(amplitudes=amplitudes)
+    return _singlets(check_unit(n, "helicity axis")).reshape(4)
 
 
 def spin_observable(a, beta) -> SpinObservable:
@@ -107,17 +115,11 @@ def spin_observable(a, beta) -> SpinObservable:
     """
     a = check_unit(a, "analyzer axis")
     bv = BeamVelocity.of(beta)
-    length = alpha_norm(a, bv)
-    if length <= DEGENERACY_THRESHOLD:
-        raise DegenerateObservable(
-            f"axis {tuple(a.tolist())} is orthogonal to a light-speed beam; |alpha| = {length!r}"
-        )
-    return SpinObservable(
-        axis=a,
-        beta=bv,
-        matrix=pauli_dot(alpha_vector(a, bv) / length),
-        alpha_length=length,
-    )
+    matrix, length, degenerate = _observables(a[None], bv.magnitude, bv.direction)
+    if degenerate[0]:
+        raise DegenerateObservable(f"axis {tuple(a.tolist())} is orthogonal to a light-speed "
+                                   f"beam; |alpha| = {float(length[0])!r}")
+    return SpinObservable(axis=a, beta=bv, matrix=matrix[0], alpha_length=float(length[0]))
 
 
 def correlations(left, right, speed, direction):
@@ -160,19 +162,33 @@ def eprb_closed_form(a, b, beta) -> float:
     return float(value[0, 0])
 
 
+def oracle_correlations(left, right, speed, direction):
+    """``correlations`` the long way, with its arguments and result, none of
+    it validated: <psi| a_hat (x) b_hat |psi> from the observable matrices
+    and the explicit singlet of each beam direction, sharing only the alpha
+    map. Raises ArithmeticError at an imaginary part of 1e-13 or more."""
+    k = left.shape[-2]
+    mats, _, degenerate = _observables(np.concatenate((left, right), axis=-2), speed, direction)
+    psi = _singlets(direction)
+    value = np.einsum("...ik,...aij,...bkl,...jl->...ab",
+                      psi.conj(), mats[..., :k, :, :], mats[..., k:, :, :], psi)
+    leak = np.abs(value.imag) >= 1e-13
+    if np.count_nonzero(leak):
+        raise ArithmeticError(f"correlation developed an imaginary part: {complex(value[leak][0])!r}")
+    return value.real, degenerate
+
+
 def eprb_oracle(a, b, beta) -> float:
     """Singlet correlation computed the long way, as a matrix element.
 
-    Builds both observable matrices, the explicit singlet vector for the
-    beam axis, and evaluates <psi| a_hat (x) b_hat |psi>. Serves as the
-    independent cross-check for ``eprb_closed_form``; shares none of its
-    arithmetic beyond the alpha map itself.
+    One pair through ``oracle_correlations``; serves as the independent
+    cross-check for ``eprb_closed_form``. A degenerate axis, a before b,
+    raises DegenerateObservable from ``spin_observable``.
     """
     bv = BeamVelocity.of(beta)
-    mat_a = spin_observable(a, bv).matrix
-    mat_b = spin_observable(b, bv).matrix
-    psi = singlet_state(bv.direction).amplitudes
-    value = complex(np.vdot(psi, kron(mat_a, mat_b) @ psi))
-    if abs(value.imag) >= 1e-13:
-        raise ArithmeticError(f"correlation developed an imaginary part: {value!r}")
-    return value.real
+    a = check_unit(a, "analyzer axis a")
+    b = check_unit(b, "analyzer axis b")
+    value, degenerate = oracle_correlations(a[None], b[None], bv.magnitude, bv.direction)
+    if np.count_nonzero(degenerate):
+        spin_observable(a if degenerate[0] else b, bv)
+    return float(value[0, 0])

@@ -252,6 +252,14 @@ class TestFigureTables:
         assert code == code2 == 0
         assert first == second
 
+    def test_chsh_bound_stream_is_pinned(self, capsys):
+        # The sweep draws its settings and velocities after the oracle sweep,
+        # from the same seeded stream: this line pins the draw order of both.
+        code, out, _ = run(capsys, "selftest", "--samples", "20", "--seed", "7")
+        assert code == 0
+        assert out.splitlines()[1] == ("chsh_bound samples=200 max_abs=2.4173881336097454 "
+                                       "limit=2.8284271257461904 PASS")
+
     def test_out_file_matches_stdout_and_leaves_no_temps(self, capsys, tmp_path):
         code, out, _ = run(capsys, "fig1", "--grid", "3")
         target = tmp_path / "fig1.csv"

@@ -13,7 +13,6 @@ from relbell.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    commutator,
     dagger,
     herm_eig,
     hermitian_deviation,
@@ -130,28 +129,15 @@ class TestPhaseFixed:
         v = np.zeros(3, dtype=complex)
         assert np.array_equal(phase_fixed(v), v)
 
-
-class TestCommutator:
-    def test_pauli_algebra(self):
-        assert_allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z, atol=1e-15)
-        assert_allclose(commutator(SIGMA_Y, SIGMA_Z), 2j * SIGMA_X, atol=1e-15)
-        assert_allclose(commutator(SIGMA_Z, SIGMA_X), 2j * SIGMA_Y, atol=1e-15)
-
-    def test_identity_commutes(self):
-        assert max_abs(commutator(ID2, SIGMA_Y)) == 0.0
-
-    def test_antisymmetry(self, rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert max_abs(commutator(a, b) + commutator(b, a)) < 1e-12
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(DimensionMismatch):
-            commutator(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            commutator(np.zeros((2, 3), dtype=complex), np.zeros((2, 3), dtype=complex))
+    def test_each_vector_of_a_stack_on_its_own(self, rng):
+        v = rng.normal(size=(4, 5, 3)) + 1j * rng.normal(size=(4, 5, 3))
+        v[1, 2, 0] = 1e-15
+        v[2, 3] = 0.0
+        out = phase_fixed(v)
+        for idx in np.ndindex(4, 5):
+            assert_allclose(out[idx], phase_fixed(v[idx]), rtol=0.0, atol=1e-15)
+        assert out[1, 2, 1].real > 0 and abs(out[1, 2, 1].imag) < 1e-15
+        assert np.array_equal(out[2, 3], v[2, 3])
 
 
 class TestHelpers:
@@ -162,6 +148,13 @@ class TestHelpers:
         v = np.array([0.3, -0.4, 1.2])
         expected = 0.3 * SIGMA_X - 0.4 * SIGMA_Y + 1.2 * SIGMA_Z
         assert_allclose(pauli_dot(v), expected, atol=1e-15)
+
+    def test_pauli_dot_stack(self, rng):
+        v = rng.normal(size=(4, 2, 3))
+        stack = pauli_dot(v)
+        assert stack.shape == (4, 2, 2, 2)
+        for idx in np.ndindex(4, 2):
+            assert np.array_equal(stack[idx], pauli_dot(v[idx]))
 
     def test_hermitian_deviation(self):
         assert hermitian_deviation(SIGMA_Y) == 0.0

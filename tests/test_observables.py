@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_beta, random_direction, unit
+from relbell import kinematics, observables
 from relbell.bell import ChshSettings
 from relbell.errors import DegenerateObservable
-from relbell.kinematics import BeamVelocity, alpha_vector
+from relbell.kinematics import BeamVelocity, alpha_vector, alpha_vectors
 from relbell.linalg import ID2, dagger, herm_eig, kron, max_abs, pauli_dot
 from relbell.observables import (
     correlations,
     eprb_closed_form,
     eprb_oracle,
     helicity_basis,
+    oracle_correlations,
     singlet_state,
     spin_observable,
 )
@@ -82,7 +84,7 @@ def total_helicity_residual(n) -> float:
     Zero up to rounding: the singlet carries zero total helicity about
     any axis.
     """
-    psi = singlet_state(n).amplitudes
+    psi = singlet_state(n)
     op = kron(pauli_dot(n), ID2) + kron(ID2, pauli_dot(n))
     return max_abs(op @ psi)
 
@@ -91,15 +93,15 @@ class TestSingletState:
     def test_z_axis_amplitudes(self):
         psi = singlet_state(Z)
         s = math.sqrt(0.5)
-        assert_allclose(psi.amplitudes, [0.0, s, -s, 0.0], atol=1e-15)
-        assert abs(psi.norm - 1.0) < 1e-14
+        assert_allclose(psi, [0.0, s, -s, 0.0], atol=1e-15)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
 
     def test_rotation_invariance_up_to_phase(self, rng):
         # The singlet is the same ray for every construction axis.
-        reference = singlet_state(Z).amplitudes
+        reference = singlet_state(Z)
         for _ in range(20):
             n = random_direction(rng)
-            psi = singlet_state(n).amplitudes
+            psi = singlet_state(n)
             assert abs(abs(np.vdot(reference, psi)) - 1.0) < 1e-12
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
@@ -304,3 +306,81 @@ class TestOracleAgreement:
     def test_degenerate_axis_raises(self):
         with pytest.raises(DegenerateObservable):
             eprb_oracle(X, Y, Z)
+
+
+class TestStackedOracle:
+    @staticmethod
+    def batch(rng, count):
+        """(count, 1, 3) left and right axes, speeds and directions."""
+        left = np.array([[random_direction(rng)] for _ in range(count)])
+        right = np.array([[random_direction(rng)] for _ in range(count)])
+        direction = np.array([random_direction(rng) for _ in range(count)])
+        return left, right, rng.uniform(0.0, 0.999, count), direction
+
+    def test_independent_of_the_closed_form_kernel(self, rng, monkeypatch):
+        left, right, speed, direction = self.batch(rng, 50)
+        closed = correlations(left, right, speed, direction)[0]
+
+        def refuse(*args):
+            raise AssertionError("the oracle called the closed-form kernel")
+
+        monkeypatch.setattr(observables, "correlations", refuse)
+        oracle, degenerate = oracle_correlations(left, right, speed, direction)
+        assert not degenerate.any()
+        assert np.max(np.abs(oracle - closed)) < 1e-12
+        for k in range(50):
+            bv = BeamVelocity(beta=speed[k] * direction[k], magnitude=float(speed[k]),
+                              direction=direction[k])
+            assert abs(eprb_oracle(left[k, 0], right[k, 0], bv) - closed[k, 0, 0]) < 1e-12
+
+    def test_two_unit_checks_per_call(self, monkeypatch):
+        calls = []
+        original = kinematics.check_unit
+
+        def counted(v, name, *args):
+            calls.append(name)
+            return original(v, name, *args)
+
+        monkeypatch.setattr(kinematics, "check_unit", counted)
+        monkeypatch.setattr(observables, "check_unit", counted)
+        eprb_oracle(X, unit([1.0, 1.0, 0.0]), np.array([0.0, 0.6, 0.0]))
+        assert calls == ["analyzer axis a", "analyzer axis b"]
+
+    def test_rows_are_batches_of_one_bit_for_bit(self, rng):
+        left, right, speed, direction = self.batch(rng, 12)
+        speed[0], direction[0] = 0.0, Z                    # at rest
+        speed[1:4] = 1.0 - 1e-9                            # 1 - |beta| = 1e-9
+        speed[4], direction[4], left[4, 0] = 1.0, Z, X     # orthogonal at light speed
+        speed[5], direction[5], left[5, 0] = 1.0, Y, unit([1.0, 1.0, 0.0])
+        corr, degenerate = oracle_correlations(left, right, speed, direction)
+        alphas = alpha_vectors(np.concatenate((left, right), axis=1), speed, direction)
+        assert degenerate.tolist() == [[k == 4, False] for k in range(12)]
+        for k in range(12):
+            bv = BeamVelocity(beta=speed[k] * direction[k], magnitude=float(speed[k]),
+                              direction=direction[k])
+            assert np.array_equal(alphas[k, 0], alpha_vector(left[k, 0], bv))
+            assert np.array_equal(alphas[k, 1], alpha_vector(right[k, 0], bv))
+            if k == 4:
+                assert np.isnan(corr[k, 0, 0])
+                with pytest.raises(DegenerateObservable) as excinfo:
+                    eprb_oracle(left[k, 0], right[k, 0], bv)
+                assert str(excinfo.value) == ("axis (1.0, 0.0, 0.0) is orthogonal to a "
+                                              "light-speed beam; |alpha| = 0.0")
+            else:
+                assert corr[k, 0, 0] == eprb_oracle(left[k, 0], right[k, 0], bv), k
+
+    def test_imaginary_part_guard_names_the_planted_row(self, rng, monkeypatch):
+        left, right, speed, direction = self.batch(rng, 6)
+        clean = oracle_correlations(left, right, speed, direction)[0]
+
+        def planted(v):
+            # i a_hat . sigma is anti-Hermitian: row 3's left value becomes i E.
+            mats = pauli_dot(v)
+            mats[3, 0] *= 1j
+            return mats
+
+        monkeypatch.setattr(observables, "pauli_dot", planted)
+        with pytest.raises(ArithmeticError, match="imaginary part") as excinfo:
+            oracle_correlations(left, right, speed, direction)
+        value = complex(str(excinfo.value).rsplit(": ", 1)[1])
+        assert abs(value - 1j * clean[3, 0, 0]) < 1e-12 and abs(clean[3, 0, 0]) > 1e-3

@@ -71,18 +71,84 @@ class VelocityDistribution:
         # [0.5, 1) is exact, so the quotients are those of the unscaled
         # weights, and no sum of n weights can overflow.
         weights = np.ldexp(weights, -math.frexp(float(weights.max()))[1])
-        return cls(betas=betas, weights=weights / math.fsum(weights.tolist()))
+        return cls(betas=betas, weights=weights / math.fsum(memoryview(weights)))
 
 
-def load_distribution(text: str) -> VelocityDistribution:
-    """Parse CSV text into a velocity distribution.
+def load_distribution(source) -> VelocityDistribution:
+    """Parse CSV, a str or a text file open for reading, into a velocity
+    distribution.
 
     Errors carry 1-based line numbers: ParseError for a record the CSV
     reader rejects, a bad header, a malformed number, a wrong column
     count, or a non-positive weight;
     SuperluminalSample for |beta| >= 1; EmptyDistribution when no data
     rows remain. Line numbers count CSV records, blank ones included.
+    Plain CSV is parsed a block at a time (``_plain_distribution``); other text,
+    and text with a bad sample, is read whole and parsed by the CSV reader.
     """
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()
+    start = None if isinstance(source, str) else source.tell()
+    dist = _plain_distribution(_line_blocks(source))
+    if dist is None and start is not None:
+        source.seek(start)
+        source = source.read()
+    return _load_text(source) if dist is None else dist
+
+
+# Characters read at a time; a plain file's blocks stay below csv.field_size_limit().
+_BLOCK_CHARS = 1 << 16
+
+
+def _line_blocks(source):
+    """``source`` (a str or a text file) in blocks of whole lines, about
+    ``_BLOCK_CHARS`` characters each, each ending in a newline."""
+    if isinstance(source, str):
+        pieces = (source[k:k + _BLOCK_CHARS] for k in range(0, len(source), _BLOCK_CHARS))
+    else:
+        pieces = iter(lambda: source.read(_BLOCK_CHARS), "")
+    tail = ""
+    for piece in pieces:
+        lines, newline, rest = piece.rpartition("\n")
+        if newline:
+            yield tail + lines + newline
+            tail = ""
+        tail += rest
+    if tail:
+        yield tail + "\n"
+
+
+def _plain_distribution(blocks):
+    """The distribution of blocks that hold the exact header line, then
+    lines of four fields, each a float, with no quote, carriage return or
+    blank line; None for any other text, a block longer than
+    csv.field_size_limit() or a bad sample, which the CSV path reports."""
+    header, _, rest = next(blocks, "").partition("\n")
+    if header != ",".join(_HEADER):
+        return None
+    limit, parts = csv.field_size_limit(), []
+    for block in filter(None, chain([rest], blocks)):
+        if '"' in block or "\r" in block or len(block) > limit:
+            return None
+        try:  # each line's commas and newline, in order, must read ",,,\n"
+            raw = np.frombuffer(block.encode(), np.uint8)
+            seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
+            if seps.size % 4 or not (seps.reshape(-1, 4) == list(b",,,\n")).all():
+                return None
+            parts.append(np.fromiter(map(float, block[:-1].replace("\n", ",").split(",")),
+                                     float, seps.size))
+        except ValueError:  # a cell is not a number
+            return None
+    try:  # concatenate raises ValueError without parts: a header but no samples
+        cells = np.concatenate(parts).reshape(-1, 4)
+        del parts  # the blocks' arrays, a second copy of the cells
+        return VelocityDistribution.from_samples(np.ascontiguousarray(cells[:, :3]), cells[:, 3])
+    except (ValueError, SuperluminalSample):  # or a bad sample
+        return None
+
+
+def _load_text(text: str) -> VelocityDistribution:
+    """``load_distribution`` of CSV text through the CSV reader."""
     records = []
     try:
         # extend keeps the records read before a failing one.
@@ -98,9 +164,6 @@ def load_distribution(text: str) -> VelocityDistribution:
     fields = set(map(len, body)) - {0}
     if not fields:
         raise EmptyDistribution("distribution has a header but no samples")
-    # All cells go through one map(float) into an (n, 4) array, which
-    # from_samples checks at once; only input that fails walks the rows,
-    # to name the first offending line.
     if fields == {4}:
         try:
             cells = np.fromiter(map(float, chain.from_iterable(body)), dtype=float).reshape(-1, 4)
@@ -109,48 +172,50 @@ def load_distribution(text: str) -> VelocityDistribution:
         except (ValueError, SuperluminalSample):  # a cell is not a number, or a sample is bad
             pass
     for line, row in enumerate(body, first + 2):
-        if row:
-            _check_row(line, row)
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"line {line}: expected 4 fields, got {len(row)}")
+        try:
+            vals = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise ParseError(f"line {line}: {exc}") from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError(f"line {line}: non-finite value")
+        if vals[3] <= 0.0:
+            raise ParseError(f"line {line}: weight must be positive, got {vals[3]!r}")
+        if speeds(vals[:3]) >= 1.0:
+            raise SuperluminalSample(f"line {line}: |beta| >= 1 in sample {tuple(vals[:3])}")
     raise AssertionError("the batch check failed but every row passes")
 
 
-def _check_row(line: int, row: list) -> None:
-    """Raise the error for one CSV data row at a 1-based line."""
-    if len(row) != 4:
-        raise ParseError(f"line {line}: expected 4 fields, got {len(row)}")
-    try:
-        vals = [float(cell) for cell in row]
-    except ValueError as exc:
-        raise ParseError(f"line {line}: {exc}") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise ParseError(f"line {line}: non-finite value")
-    if vals[3] <= 0.0:
-        raise ParseError(f"line {line}: weight must be positive, got {vals[3]!r}")
-    if speeds(vals[:3]) >= 1.0:
-        raise SuperluminalSample(f"line {line}: |beta| >= 1 in sample {tuple(vals[:3])}")
+# Samples per chsh_batch call in per_sample_chsh (~220 bytes of temporaries each).
+_CHSH_BLOCK_SAMPLES = 1 << 14
 
 
 def per_sample_chsh(dist: VelocityDistribution, settings: ChshSettings) -> np.ndarray:
-    """CHSH value at each velocity sample, in one ``chsh_batch`` call.
+    """CHSH value at each velocity sample, ``_CHSH_BLOCK_SAMPLES`` per ``chsh_batch`` call.
 
     A degenerate sample (only possible at |beta| = 1, which the loader
     already rejects) is reported with its index.
     """
-    speed, direction = lengths_and_directions(dist.betas)
-    direction[speed == 0.0] = Z_AXIS
-    values, degenerate = chsh_batch(settings.axes, speed, direction)
-    if degenerate.any():
-        k, axis = (int(i) for i in np.argwhere(degenerate)[0])
-        raise DegenerateObservable(
-            f"sample {k}: setting {settings.labeled()[axis][0]} degenerate at "
-            f"|beta| = {float(speed[k])!r}")
+    values = np.empty(len(dist))
+    for start in range(0, len(dist), _CHSH_BLOCK_SAMPLES):
+        speed, direction = lengths_and_directions(dist.betas[start:start + _CHSH_BLOCK_SAMPLES])
+        direction[speed == 0.0] = Z_AXIS
+        values[start:start + speed.size], degenerate = chsh_batch(settings.axes, speed, direction)
+        if degenerate.any():
+            k, axis = (int(i) for i in np.argwhere(degenerate)[0])
+            raise DegenerateObservable(
+                f"sample {start + k}: setting {settings.labeled()[axis][0]} degenerate at "
+                f"|beta| = {float(speed[k])!r}")
     return values
 
 
 def _weighted_sum(dist: VelocityDistribution, values) -> float:
     """Correctly rounded sum of weight * value, so exactly independent of
     the sample order."""
-    return math.fsum((dist.weights * values).tolist())
+    return math.fsum(memoryview(dist.weights * values))
 
 
 def expected_chsh(dist: VelocityDistribution, settings: ChshSettings) -> float:
@@ -195,24 +260,25 @@ class AuditReport:
         ])
 
     def to_json(self) -> str:
-        """``render_json(self.to_json_dict())`` and a newline, byte for byte.
+        """``render_json(self.to_json_dict())`` and a newline, byte for
+        byte: the pieces of ``json_pieces`` joined."""
+        return "".join(self.json_pieces())
 
-        ``render_json`` lays out the report with an empty sample list; the
-        samples fill it block by block (``_samples_json``), and the pieces
-        are joined once.
-        """
+    def json_pieces(self):
+        """The text of ``to_json`` in pieces: ``render_json`` of the report
+        with an empty sample list, filled a piece of ``_JSON_BLOCK_SAMPLES``
+        samples at a time (``_samples_json``)."""
         text = render_json(self._document([])) + "\n"
         count = self.columns.shape[1]
         if not count:
-            return text
+            yield text
+            return
         head, _, tail = text.partition('"samples": []')
-        parts = [head, '"samples": [\n    ']
+        yield head + '"samples": [\n    '
         for start in range(0, count, _JSON_BLOCK_SAMPLES):
-            if start:
-                parts.append(_SAMPLE_SEP)
-            parts.append(_samples_json(self.columns[:, start:start + _JSON_BLOCK_SAMPLES]))
-        parts += ["\n  ]", tail]
-        return "".join(parts)
+            yield ((_SAMPLE_SEP if start else "")
+                   + _samples_json(self.columns[:, start:start + _JSON_BLOCK_SAMPLES]))
+        yield "\n  ]" + tail
 
     def _document(self, samples) -> dict:
         return {

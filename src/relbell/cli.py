@@ -102,26 +102,23 @@ def _settings_arg(text: str):
 
 
 def _mags_arg(text: str):
-    parts = text.split(",")
-    try:
-        mags = [float(x) for x in parts]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    mags = _floats(text, text.count(",") + 1)
     for m in mags:
         if not (0.0 <= m <= 1.0):
             raise argparse.ArgumentTypeError(f"speed must lie in [0, 1], got {m!r}")
     return tuple(mags)
 
 
-def _emit(text: str, out) -> None:
+def _emit(text, out) -> None:
+    pieces = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     path = Path(out)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -188,13 +185,17 @@ def _cmd_dirac_check(args) -> int:
 
 def _cmd_crypto_audit(args) -> int:
     try:
-        text = Path(args.dist).read_text()
+        with Path(args.dist).open() as fh:  # read_text's encoding and newlines, in blocks
+            dist = load_distribution(fh)
+    except UnicodeDecodeError:
+        Path(args.dist).read_text()  # the error again, its position counted from the file start
+        raise
     except OSError as exc:
         sys.stderr.write(f"cannot read {args.dist}: {exc}\n")
         return 1
     settings = args.settings if args.settings is not None else STANDARD_SETTINGS
-    report = audit(load_distribution(text), settings, threshold=args.threshold)
-    _emit(report.to_json(), args.out)
+    report = audit(dist, settings, threshold=args.threshold)
+    _emit(report.json_pieces(), args.out)
     return 3 if report.verdict == FALSE_ALARM_RISK else 0
 
 

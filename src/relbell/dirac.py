@@ -438,10 +438,12 @@ def _eigenstate(ops, a) -> dict:
 def _precession(ops) -> dict:
     omega = _omega(ops.ctx.p)
     Hk = ops.H[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # omega H ~ p0^2 overflows: inf/NaN fails
+        commutator = omega @ Hk - Hk @ omega
     return {
         "precession.heisenberg_vs_cross":
             _peak(1.0j * (Hk @ _SPIN - _SPIN @ Hk) - _cross(omega, _SPIN, np.matmul)),
-        "precession.omega_commutes_with_hamiltonian": _peak(omega @ Hk - Hk @ omega),
+        "precession.omega_commutes_with_hamiltonian": _peak(commutator),
     }
 
 
@@ -466,11 +468,12 @@ def _spin_forms(ops) -> dict:
     Pp, Pm = ops.Pi_plus[:, None], ops.Pi_minus[:, None]
     projector = Pp @ _SPIN @ Pp + Pm @ _SPIN @ Pm
     p0_sq = _col(ctx.p0**2)[:, None]
-    explicit = ((_col(ctx.m**2)[:, None] / p0_sq) * _SPIN
-                + (_col(ctx.p_mag**2)[:, None] / p0_sq) * _dot(ctx.n, _SPIN)[:, None]
-                * ctx.n[:, :, None, None]
-                + 1.0j * _col(ctx.m)[:, None] / (2.0 * p0_sq)
-                * _cross(ctx.p[:, :, None, None], _GAMMA))
+    with np.errstate(over="ignore"):  # 2 p0^2 overflows near _P0_MAX, as in _precession
+        explicit = ((_col(ctx.m**2)[:, None] / p0_sq) * _SPIN
+                    + (_col(ctx.p_mag**2)[:, None] / p0_sq) * _dot(ctx.n, _SPIN)[:, None]
+                    * ctx.n[:, :, None, None]
+                    + 1.0j * _col(ctx.m)[:, None] / (2.0 * p0_sq)
+                    * _cross(ctx.p[:, :, None, None], _GAMMA))
     return {
         "spin_forms.projector_vs_ratio": _peak(projector - ops.S),
         "spin_forms.explicit_vs_ratio": _peak(explicit - ops.S),

@@ -5,7 +5,9 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_beta, random_direction
+from conftest import plain_csv, random_beta, random_direction
 from relbell.audit import (
     FALSE_ALARM_RISK,
     NO_ALARM,
@@ -208,6 +210,93 @@ class TestBatchLoaderMatchesRowLoader:
         bad = HEADER + "\n".join(lines[:2500] + ["0,0,0,0"] + lines[2500:]) + "\n"
         assert outcome(load_distribution, bad) == (
             ParseError, "line 2502: weight must be positive, got 0.0")
+
+
+class _Unseekable(io.StringIO):
+    """A text stream that cannot seek back, like a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def parametrized(test):
+    """The values a test with one ``pytest.mark.parametrize`` runs with."""
+    mark, = (mark for mark in test.pytestmark if mark.name == "parametrize")
+    return mark.args[1]
+
+
+# Characters read at a time: 1 makes every line its own block, and the
+# larger sizes put a few, about 7 and about 64 short lines in a block.
+BLOCK_CHARS = (1, 7, 64, 200, 1600)
+
+
+class TestBlockLoaderMatchesRowLoader:
+    """The hostile-CSV oracle with blocks of a few characters, each case fed
+    as a str, a text file and a stream that cannot seek back."""
+
+    @staticmethod
+    def check(chars, text):
+        want = outcome(rowwise_load_distribution, text)
+        with mock.patch.object(audit_module, "_BLOCK_CHARS", chars):
+            for source in (text, io.StringIO(text), _Unseekable(text)):
+                assert outcome(load_distribution, source) == want
+
+    @pytest.mark.parametrize("chars", BLOCK_CHARS)
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(hostile_rows, min_size=0, max_size=12),
+           newline=st.sampled_from(["\n", "\r\n"]), blank_head=st.booleans())
+    def test_hostile_csv(self, chars, rows, newline, blank_head):
+        self.check(chars, ("\n" if blank_head else "") + newline.join([HEADER.strip()] + rows)
+                   + newline)
+
+    @pytest.mark.parametrize("chars", BLOCK_CHARS)
+    def test_fixed_hostile_inputs(self, chars):
+        for text in parametrized(TestBatchLoaderMatchesRowLoader.test_fixed_hostile_inputs):
+            self.check(chars, text)
+        self.check(chars, HEADER + "0.1,0,0,1\n0.2,0,0,1")  # no final newline
+        # 3 + 5 fields: 6 commas on 2 lines, and every cell a number.
+        self.check(chars, HEADER + "0.1,0,0,1\n0.2,0,0\n0.3,0,0,0.5,2\n0.4,0,0,1\n")
+
+    @pytest.mark.parametrize("chars", [1, 7, 64])
+    def test_field_beyond_the_csv_limit(self, chars):
+        for text in parametrized(TestBatchLoaderMatchesRowLoader.test_field_beyond_the_csv_limit):
+            self.check(chars, text)
+
+    @pytest.mark.parametrize("chars", BLOCK_CHARS)
+    def test_a_bad_sample_in_the_last_block_names_its_line(self, chars, rng):
+        text = plain_csv(rng, 300)
+        self.check(chars, text)
+        self.check(chars, text + "0.9,0.9,0,1\n")
+        self.check(chars, text + "0,0,0,-1\n")
+
+    def test_plain_text_never_reaches_the_csv_reader(self, rng):
+        text = plain_csv(rng, 3000)
+        want = outcome(rowwise_load_distribution, text)
+        with mock.patch.object(audit_module, "_load_text", side_effect=AssertionError):
+            for chars in (*BLOCK_CHARS, audit_module._BLOCK_CHARS):
+                with mock.patch.object(audit_module, "_BLOCK_CHARS", chars):
+                    assert outcome(load_distribution, text) == want
+                    assert outcome(load_distribution, io.StringIO(text)) == want
+
+
+class TestStreamedAuditMemory:
+    def test_peak_of_a_200000_sample_audit(self, tmp_path):
+        # Load, score and write the report of a 200 000-sample file the
+        # way crypto-audit does. Reading and parsing the whole file and
+        # joining the report into one string peaked at ~150 MB; blocks
+        # of lines, samples and report text keep it near 16 MB.
+        path = tmp_path / "dist.csv"
+        path.write_text(plain_csv(np.random.default_rng(200_000), 200_000))
+        tracemalloc.start()
+        try:
+            with path.open() as fh, open(os.devnull, "w") as sink:
+                report = audit(load_distribution(fh), STANDARD_SETTINGS)
+                sink.writelines(report.json_pieces())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.columns.shape == (5, 200_000)
+        assert peak < 60e6
 
 
 # Velocities whose speed is 1 or just below it in the last bit: math.hypot,

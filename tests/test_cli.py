@@ -1,19 +1,26 @@
 """End-to-end tests of the command line front end (driving main() directly)."""
 
 import argparse
+import codecs
+import importlib
 import json
+import locale
 import math
 import os
 
 import numpy as np
 import pytest
 
+from conftest import plain_csv
 from relbell import cli, dirac
 from relbell.bell import STANDARD_SETTINGS, chsh_value
 from relbell.cli import main
 from relbell.kinematics import BeamVelocity, alpha_vector, random_direction
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
+
+# The module, not the audit() function that relbell exports under its name.
+audit_module = importlib.import_module("relbell.audit")
 
 
 def run(capsys, *argv):
@@ -390,6 +397,18 @@ class TestDiracCheck:
         assert "Warning" not in err and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
+    def test_momentum_near_the_largest_energy_fails_without_warning(self, capsys):
+        # Operators near the largest accepted energy: products like omega H
+        # overflow, and the records fail (exit 2) with nothing on stderr.
+        code, out, err = run(capsys, "dirac-check", "--m=1.0", "--trials", "1",
+                             "--p=2.1492886912562937e+153,-9.718045410419598e+153,"
+                             "-7.55067570652086e+153")
+        assert (code, err) == (2, "")
+        records = {r["check"]: r for r in json.loads(out)}
+        assert not records["casimir.invariant"]["pass"]
+        assert records["evenness.spin"]["pass"]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [("--p=1.4916681462400413e-154,0,0", "--m", "0"),
                                       ("--p", "0,0,0", "--m", "1.4916681462400413e-154")])
     def test_smallest_energy_whose_square_is_normal_passes(self, capsys, argv):
@@ -450,6 +469,32 @@ class TestCryptoAudit:
         assert (code, err) == (0, "")
         tiny = json.loads(out)["samples"][0]
         assert tiny["chsh"] == chsh_value(STANDARD_SETTINGS, [1e-160, 0.0, 0.0])
+
+    def test_crlf_file_gives_the_bytes_of_its_lf_twin(self, capsys, tmp_path):
+        # Universal newlines, as Path.read_text reads, over many blocks.
+        text = plain_csv(np.random.default_rng(12_000), 12_000)
+        results = []
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            dist = tmp_path / f"{name}.csv"
+            dist.write_text(text, newline=newline)
+            target = tmp_path / f"{name}.json"
+            results.append((run(capsys, "crypto-audit", "--dist", str(dist)),
+                            run(capsys, "crypto-audit", "--dist", str(dist), "--out", str(target)),
+                            target.read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][0][0] == 0 and len(json.loads(results[0][0][1])["samples"]) == 12_000
+
+    def test_bad_byte_after_the_first_block_reports_its_file_position(self, capsys, tmp_path):
+        if codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8":
+            pytest.skip("the file is read in the locale encoding, which is not UTF-8 here")
+        data = plain_csv(np.random.default_rng(3), 3000).encode()
+        at = data.index(b"\n", 3 * audit_module._BLOCK_CHARS) + 5
+        dist = tmp_path / "bad.csv"
+        dist.write_bytes(data[:at] + b"\xff" + data[at:])
+        code, out, err = run(capsys, "crypto-audit", "--dist", str(dist))
+        assert (code, out) == (1, "")
+        assert err == (f"error: 'utf-8' codec can't decode byte 0xff in position {at}: "
+                       "invalid start byte\n")
 
     def test_report_written_atomically(self, capsys, tmp_path):
         dist = tmp_path / "rest.csv"

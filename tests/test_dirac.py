@@ -391,6 +391,15 @@ PLANTED = {
 
 
 class TestBattery:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_momentum_near_the_largest_energy_fails_without_warning(self, m):
+        # omega H and 2 p0^2 overflow below the largest accepted energy: the
+        # residuals come out inf or NaN, fail their records and warn nothing.
+        p = 0.999 * dirac._P0_MAX * unit([2.1, -9.7, -7.6])
+        records = dirac_battery(p[None], np.array([m]), unit([0.3, 0.1, 0.9])[None])
+        assert not all(r.passed for r in records)
+
     @pytest.mark.parametrize("trial", [7, 49])
     @pytest.mark.parametrize("kernel", sorted(PLANTED))
     def test_planted_fault_matches_the_single_context_check(self, monkeypatch, kernel, trial):

@@ -120,10 +120,11 @@ def _line_blocks(source):
 
 def _plain_distribution(blocks):
     """The distribution of blocks that hold the exact header line, then
-    lines of four fields, each a float, with no quote, carriage return or
-    blank line; None for any other text, a block longer than
+    lines of four fields, each a float, with no quote or carriage return;
+    lines that are only a newline are dropped, as the CSV reader skips
+    them. None for any other text, a block longer than
     csv.field_size_limit() or a bad sample, which the CSV path reports."""
-    header, _, rest = next(blocks, "").partition("\n")
+    header, _, rest = next(filter(None, (b.lstrip("\n") for b in blocks)), "").partition("\n")
     if header != ",".join(_HEADER):
         return None
     limit, parts = csv.field_size_limit(), []
@@ -131,10 +132,16 @@ def _plain_distribution(blocks):
         if '"' in block or "\r" in block or len(block) > limit:
             return None
         try:  # each line's commas and newline, in order, must read ",,,\n"
-            raw = np.frombuffer(block.encode(), np.uint8)
-            seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
-            if seps.size % 4 or not (seps.reshape(-1, 4) == list(b",,,\n")).all():
-                return None
+            while True:
+                raw = np.frombuffer(block.encode(), np.uint8)
+                seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
+                if not seps.size % 4 and (seps.reshape(-1, 4) == list(b",,,\n")).all():
+                    break
+                # Blank lines misalign the separators: look for them only then.
+                unblank = block.replace("\n\n", "\n").lstrip("\n")
+                if unblank == block:
+                    return None
+                block = unblank
             parts.append(np.fromiter(map(float, block[:-1].replace("\n", ",").split(",")),
                                      float, seps.size))
         except ValueError:  # a cell is not a number
@@ -143,7 +150,7 @@ def _plain_distribution(blocks):
         cells = np.concatenate(parts).reshape(-1, 4)
         del parts  # the blocks' arrays, a second copy of the cells
         return VelocityDistribution.from_samples(np.ascontiguousarray(cells[:, :3]), cells[:, 3])
-    except (ValueError, SuperluminalSample):  # or a bad sample
+    except (ValueError, EmptyDistribution, SuperluminalSample):  # only blank lines, or a bad sample
         return None
 
 

@@ -17,6 +17,10 @@ pictures together:
 * the invariant W0^2 - W.W is the expected Casimir multiple of the
   identity.
 
+The operators are built in units of the energy p0 = hypot(|p|, m), from
+beta = p / p0 and mu = m / p0: H / p0 squares to 1, every residual is a
+relative error, and no product over- or underflows at any finite p and m.
+
 Every identity is computed once, on stacked arrays: ``dirac_battery``
 runs all of them over N trials in one pass, in blocks of ``_BLOCK``
 trials. ``build_context`` and the ``*_check`` functions are the same
@@ -29,7 +33,7 @@ still serialize what failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,10 +69,6 @@ _GAMMA = np.array(GAMMA)
 _SPIN = np.array(SPIN)
 _PAULI = np.array(PAULI)
 _SPECTRUM_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
-#: The smallest and largest energy p0 = hypot(|p|, m) whose square
-#: p0 * p0, which the operators divide by, is a finite normal float.
-_P0_MIN = float(np.sqrt(np.finfo(float).tiny))
-_P0_MAX = float(np.sqrt(np.finfo(float).max))
 
 #: Trials per block. A block of stacked operators takes some tens of kB
 #: per trial, so the battery's memory does not grow with the trial count.
@@ -105,9 +105,10 @@ class DiracContext:
 
     In a batch every field gains a leading trial axis. ``n`` is the
     momentum direction, None for a single particle at rest (a zero row
-    in a batch); ``p_mag`` and ``n`` come from
-    ``kinematics.lengths_and_directions``, so n is a unit vector even
-    where the squares of p underflow.
+    in a batch). The operators are built from ``beta = p / p0``,
+    ``speed = |p| / p0`` and ``mu = m / p0``, which, like n, are accurate
+    to rounding at any finite p and m (``_scaled``); ``p0`` and ``p_mag``
+    are inf where they exceed the largest float.
     """
 
     p: np.ndarray
@@ -115,23 +116,26 @@ class DiracContext:
     p0: float
     p_mag: float
     n: np.ndarray | None
+    beta: np.ndarray
+    speed: float
+    mu: float
 
 
 @dataclass(frozen=True, eq=False)
 class DiracOperatorSet:
-    """The 4x4 operator family of one free particle.
+    """The 4x4 operator family of one free particle, in units of p0.
 
-    S is the center-of-mass spin W H^-1; W, S and Omega are (3, 4, 4)
-    stacks of their components. Omega is the even part of the precession
-    frequency and Omega_by_beta2 = Omega / beta^2, kept apart because
-    beta^2 underflows for tiny momenta (both None at zero momentum, where
-    no motion axis exists). In a batch every field but ``s`` gains a
-    leading trial axis, and Omega is zero at rest.
+    H = alpha . beta + mu gamma0 squares to 1, so the spin S = W H^-1 is
+    W H and the energy-sign projectors are (1 +- H) / 2. W, S and Omega
+    are (3, 4, 4) stacks of their components. Omega is the even part of
+    the precession frequency and Omega_by_beta2 = Omega / beta^2, kept
+    apart because beta^2 underflows for tiny momenta (both None at zero
+    momentum, where no motion axis exists). In a batch every field but
+    ``s`` gains a leading trial axis, and Omega is zero at rest.
     """
 
     ctx: DiracContext
     H: np.ndarray
-    Lambda: np.ndarray
     Pi_plus: np.ndarray
     Pi_minus: np.ndarray
     s: tuple
@@ -250,33 +254,30 @@ def _validate(p, m) -> None:
             lambda k: f"mass must be finite and non-negative, got {float(m[k])!r}")
     _reject(~np.all(np.isfinite(p), axis=1), ValueError,
             lambda k: f"momentum must be finite, got {p[k].tolist()!r}")
-    with np.errstate(over="ignore"):  # an infinite p0 is rejected below
-        p0 = np.hypot(np.hypot(np.hypot(p[:, 0], p[:, 1]), p[:, 2]), m)
-    _reject(p0 > _P0_MAX, ValueError,
-            lambda k: f"energy hypot(|p|, m) = {float(p0[k])!r} exceeds {_P0_MAX!r}, "
-                      "the largest whose square is finite")
-    _reject((p0 > 0.0) & (p0 < _P0_MIN), ValueError,
-            lambda k: f"energy hypot(|p|, m) = {float(p0[k])!r} is below {_P0_MIN!r}, "
-                      "the smallest whose square is normal")
     _reject(~np.any(p != 0.0, axis=1) & (m == 0.0), NullContext,
             lambda k: "momentum and mass are both zero")
 
 
-def _context(p, m) -> DiracContext:
+def _scaled(p, m):
+    """p, m, |p| and the energy hypot(|p|, m) over the power of two 2^e
+    that brings the largest of |p_k| and m into [0.5, 1), with the
+    direction n and e. The scaling is exact, and no square on the way
+    over- or underflows, whatever the scale of p and m."""
+    e = np.frexp(np.maximum(np.abs(p).max(axis=1), m))[1]
+    p, m = np.ldexp(p, -e[:, None]), np.ldexp(m, -e)
     p_mag, n = lengths_and_directions(p)
-    return DiracContext(p=p, m=m, p0=np.hypot(p_mag, m), p_mag=p_mag, n=n)
+    return p, m, p_mag, np.hypot(p_mag, m), n, e
+
+
+def _context(p, m) -> DiracContext:
+    p_e, m_e, p_mag, p0, n, e = _scaled(p, m)
+    return DiracContext(p=p, m=m, p0=np.ldexp(p0, e), p_mag=np.ldexp(p_mag, e), n=n,
+                        beta=p_e / p0[:, None], speed=p_mag / p0, mu=m_e / p0)
 
 
 def _energy(ctx):
-    """H = alpha . p + m gamma0, its sign Lambda = H / p0 and the
-    energy-sign projectors (1 +- Lambda) / 2."""
-    H = _dot(ctx.p, _ALPHA) + _col(ctx.m) * GAMMA0
-    return (H, *_projectors(H, ctx.p0))
-
-
-def _projectors(H, p0):
-    Lambda = H / _col(p0)
-    return Lambda, (ID4 + Lambda) / 2.0, (ID4 - Lambda) / 2.0
+    """H / p0 = alpha . beta + mu gamma0."""
+    return _dot(ctx.beta, _ALPHA) + _col(ctx.mu) * GAMMA0
 
 
 def _omega(p):
@@ -287,49 +288,42 @@ def _omega(p):
 def _operators(p, m) -> DiracOperatorSet:
     """The operator family of every trial of validated p (N, 3), m (N,)."""
     ctx = _context(p, m)
-    H, Lambda, Pi_plus, Pi_minus = _energy(ctx)
+    H = _energy(ctx)
     Hk = H[:, None]
     W = (_SPIN @ Hk + Hk @ _SPIN) / 2.0
-    # H^-1 = H / (p^2 + m^2) for the free Hamiltonian.
-    S = W @ Hk / _col(ctx.p0 * ctx.p0)[:, None]
-    # Omega = beta^2 (1 + (m / |p|) gamma . n) omega, zero at rest.
-    m_by_p = np.divide(ctx.m, ctx.p_mag, out=np.zeros_like(ctx.m), where=ctx.p_mag > 0.0)
-    Omega_by_beta2 = (ID4 + _col(m_by_p) * _dot(ctx.n, _GAMMA))[:, None] @ _omega(ctx.p)
-    Omega = _col(ctx.p_mag**2 / ctx.p0**2)[:, None] * Omega_by_beta2
-    return DiracOperatorSet(ctx=ctx, H=H, Lambda=Lambda, Pi_plus=Pi_plus, Pi_minus=Pi_minus,
-                            s=SPIN, W0=_dot(ctx.p, _SPIN), W=W, S=S, Omega=Omega,
-                            Omega_by_beta2=Omega_by_beta2)
+    # Omega / beta^2 = (1 + (m / |p|) gamma . n) omega is, over p0,
+    # -2 (beta + mu (gamma . n) n) gamma5: zero at rest.
+    even = _omega(ctx.beta) + _dot(ctx.n, _GAMMA)[:, None] @ _omega(ctx.mu[:, None] * ctx.n)
+    return DiracOperatorSet(ctx=ctx, H=H, Pi_plus=(ID4 + H) / 2.0, Pi_minus=(ID4 - H) / 2.0,
+                            s=SPIN, W0=_dot(ctx.beta, _SPIN), W=W, S=W @ Hk,
+                            Omega=_col(ctx.speed**2)[:, None] * even, Omega_by_beta2=even)
 
 
-_TRIAL_FIELDS = ("H", "Lambda", "Pi_plus", "Pi_minus", "W0", "W", "S", "Omega", "Omega_by_beta2")
+_TRIAL_FIELDS = ("H", "Pi_plus", "Pi_minus", "W0", "W", "S", "Omega", "Omega_by_beta2")
 
 
 def _select(ops: DiracOperatorSet, index) -> DiracOperatorSet:
     """Trials of a batch picked by a mask, or one trial (an int) as an
     unbatched set."""
-    c = ops.ctx
-    ctx = DiracContext(p=c.p[index], m=c.m[index], p0=c.p0[index], p_mag=c.p_mag[index],
-                       n=c.n[index])
-    fields = {name: getattr(ops, name)[index] for name in _TRIAL_FIELDS}
+    ctx = {f.name: getattr(ops.ctx, f.name)[index] for f in fields(DiracContext)}
+    trial = {name: getattr(ops, name)[index] for name in _TRIAL_FIELDS}
     if isinstance(index, int):
-        at_rest = ctx.p_mag == 0.0
-        ctx = DiracContext(p=ctx.p, m=float(ctx.m), p0=float(ctx.p0), p_mag=float(ctx.p_mag),
-                           n=None if at_rest else ctx.n)
-        if at_rest:
-            fields.update(Omega=None, Omega_by_beta2=None)
-    return DiracOperatorSet(ctx=ctx, s=ops.s, **fields)
+        ctx = {name: float(value) if np.ndim(value) == 0 else value for name, value in ctx.items()}
+        if ctx["p_mag"] == 0.0:
+            ctx["n"] = trial["Omega"] = trial["Omega_by_beta2"] = None
+    return DiracOperatorSet(ctx=DiracContext(**ctx), s=ops.s, **trial)
 
 
 def _stack(ops: DiracOperatorSet) -> DiracOperatorSet:
     """The batch of one that holds an unbatched set."""
-    c = ops.ctx
-    zeros = np.zeros((3, 4, 4), dtype=complex)
-    ctx = DiracContext(p=np.asarray(c.p)[None], m=np.array([c.m]), p0=np.array([c.p0]),
-                       p_mag=np.array([c.p_mag]),
-                       n=(np.zeros(3) if c.n is None else np.asarray(c.n))[None])
-    fields = {name: np.asarray(zeros if getattr(ops, name) is None else getattr(ops, name))[None]
-              for name in _TRIAL_FIELDS}
-    return DiracOperatorSet(ctx=ctx, s=ops.s, **fields)
+    def one(value, zero):
+        return np.asarray(zero if value is None else value)[None]
+
+    ctx = DiracContext(**{f.name: one(getattr(ops.ctx, f.name), np.zeros(3))
+                          for f in fields(DiracContext)})
+    zero = np.zeros((3, 4, 4), dtype=complex)
+    return DiracOperatorSet(ctx=ctx, s=ops.s,
+                            **{name: one(getattr(ops, name), zero) for name in _TRIAL_FIELDS})
 
 
 def build_context(p, m: float) -> DiracOperatorSet:
@@ -355,12 +349,14 @@ def _spin_length(ctx, a):
     """|lambda_a| = hypot(m, p . a) / (2 p0), the alpha-map length
     sqrt(1 + (beta . a)^2 - beta^2) / 2 written without 1 - beta^2.
 
-    Exact in p and m: the relative error stays within (4 + 3 kappa) eps,
+    Exact in p and m, which ``_scaled`` divides by a power of two, not by
+    p0: the relative error stays within (4 + 3 kappa) eps,
     kappa = |p| |p . a| / (m^2 + (p . a)^2) being the conditioning of the
-    rounded p . a, at any speed (tested up to |p| / m = 1e6 against a
-    50-digit reference).
+    rounded p . a, at any speed (tested for |p| / m from 1e-8 to 1e12
+    against a 50-digit reference).
     """
-    return np.hypot(ctx.m, _rowdot(ctx.p, a)) / (2.0 * ctx.p0)
+    p, m, _, p0, _, _ = _scaled(ctx.p, ctx.m)
+    return np.hypot(m, _rowdot(p, a)) / (2.0 * p0)
 
 
 # --- the identities; each maps record names to per-trial residuals ---
@@ -388,17 +384,16 @@ def _coefficients(ctx, a, lam):
     t = a_perp / np.where(along, 1.0, perp_len)[:, None]
     for k in np.flatnonzero(along):
         t[k] = orthonormal_triad(n[k])[0]
-    return lam + 0.5 * a_n, ctx.m * _rowdot(a, t) / (2.0 * ctx.p0), t
+    return lam + 0.5 * a_n, ctx.mu * _rowdot(a, t) / 2.0, t
 
 
 def _eigenstates(ops, a):
     ctx = ops.ctx
     lam = _spin_length(ctx, a)
-    c1, c2, t = _coefficients(ctx, a, lam)
-    # a antiparallel to n: the formula collapses; build for -a and swap.
-    flip = c1 * c1 + c2 * c2 < 1e-24
-    if flip.any():
-        c1, c2, t = _coefficients(ctx, np.where(flip[:, None], -a, a), lam)
+    # c1 = lam + (a . n) / 2 cancels where a . n < 0 (to 0 at a = -n): build
+    # the states of -a there, whose spin length is the same, and swap them.
+    flip = _rowdot(a, ctx.n) < 0.0
+    c1, c2, t = _coefficients(ctx, np.where(flip[:, None], -a, a), lam)
     # w+: the helicity +1 spinor along n, a normalized column of 1 + n . sigma
     # (the first, or the second where n points south).
     nx, ny, nz = ctx.n.T
@@ -407,9 +402,9 @@ def _eigenstates(ops, a):
                       np.stack([nx - 1j * ny, 1.0 - nz], axis=1))
     w_plus /= np.linalg.norm(w_plus, axis=1)[:, None]
     w_minus = _apply(_dot(t, _PAULI), w_plus)
-    up = np.sqrt(ctx.p0 + ctx.m)[:, None]
-    # sqrt(p0 - m) via |p| / sqrt(p0 + m), exact identity, no cancellation.
-    low = ctx.p_mag[:, None] / up
+    up = np.sqrt(1.0 + ctx.mu)[:, None]
+    # sqrt(1 - mu) via speed / sqrt(1 + mu), exact identity, no cancellation.
+    low = ctx.speed[:, None] / up
     c1, c2 = c1[:, None], c2[:, None]
 
     def assemble(upper, lower):
@@ -426,24 +421,21 @@ def _eigenstate(ops, a) -> dict:
     psi_plus, psi_minus = _eigenstates(ops, a)
     a_s = _dot(a, ops.S)
     lam = _spin_length(ops.ctx, a)[:, None]
-    p0 = ops.ctx.p0[:, None]
     return {
-        "eigenstate.energy": np.maximum(_peak(_apply(ops.H, psi_plus) - p0 * psi_plus),
-                                        _peak(_apply(ops.H, psi_minus) - p0 * psi_minus)),
+        "eigenstate.energy": np.maximum(_peak(_apply(ops.H, psi_plus) - psi_plus),
+                                        _peak(_apply(ops.H, psi_minus) - psi_minus)),
         "eigenstate.spin_projection": np.maximum(_peak(_apply(a_s, psi_plus) - lam * psi_plus),
                                                  _peak(_apply(a_s, psi_minus) + lam * psi_minus)),
     }
 
 
 def _precession(ops) -> dict:
-    omega = _omega(ops.ctx.p)
+    omega = _omega(ops.ctx.beta)
     Hk = ops.H[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # omega H ~ p0^2 overflows: inf/NaN fails
-        commutator = omega @ Hk - Hk @ omega
     return {
         "precession.heisenberg_vs_cross":
             _peak(1.0j * (Hk @ _SPIN - _SPIN @ Hk) - _cross(omega, _SPIN, np.matmul)),
-        "precession.omega_commutes_with_hamiltonian": _peak(commutator),
+        "precession.omega_commutes_with_hamiltonian": _peak(omega @ Hk - Hk @ omega),
     }
 
 
@@ -467,13 +459,9 @@ def _spin_forms(ops) -> dict:
     ctx = ops.ctx
     Pp, Pm = ops.Pi_plus[:, None], ops.Pi_minus[:, None]
     projector = Pp @ _SPIN @ Pp + Pm @ _SPIN @ Pm
-    p0_sq = _col(ctx.p0**2)[:, None]
-    with np.errstate(over="ignore"):  # 2 p0^2 overflows near _P0_MAX, as in _precession
-        explicit = ((_col(ctx.m**2)[:, None] / p0_sq) * _SPIN
-                    + (_col(ctx.p_mag**2)[:, None] / p0_sq) * _dot(ctx.n, _SPIN)[:, None]
-                    * ctx.n[:, :, None, None]
-                    + 1.0j * _col(ctx.m)[:, None] / (2.0 * p0_sq)
-                    * _cross(ctx.p[:, :, None, None], _GAMMA))
+    explicit = (_col(ctx.mu**2)[:, None] * _SPIN
+                + _dot(ctx.n, _SPIN)[:, None] * (ctx.speed[:, None]**2 * ctx.n)[:, :, None, None]
+                + 0.5j * _col(ctx.mu)[:, None] * _cross(ctx.beta[:, :, None, None], _GAMMA))
     return {
         "spin_forms.projector_vs_ratio": _peak(projector - ops.S),
         "spin_forms.explicit_vs_ratio": _peak(explicit - ops.S),
@@ -483,7 +471,7 @@ def _spin_forms(ops) -> dict:
 
 def _casimir(ops) -> dict:
     value = ops.W0 @ ops.W0 - _sum3(ops.W @ ops.W)
-    return {"casimir.invariant": _peak(value + _col(0.75 * ops.ctx.m**2) * ID4)}
+    return {"casimir.invariant": _peak(value + _col(0.75 * ops.ctx.mu**2) * ID4)}
 
 
 def _evenness(ops) -> dict:
@@ -492,12 +480,11 @@ def _evenness(ops) -> dict:
 
 def _massless_velocity(ctx, H) -> dict:
     """Residuals of H = c . p for massless contexts (m = 0, |p| > 0) with
-    Hamiltonian H; c_k = (v . p) p_k / p^2 with v the velocity matrices."""
-    _, Pi_plus, Pi_minus = _projectors(H, ctx.p0)
-    c = _dot(ctx.p, _ALPHA)[:, None] * (ctx.n / ctx.p_mag[:, None])[:, :, None, None]
+    Hamiltonian H over p0; c_k = (v . n) n_k with v the velocity matrices."""
+    c = _dot(ctx.n, _ALPHA)[:, None] * ctx.n[:, :, None, None]
     return {
-        "massless_velocity.hamiltonian": _peak(_dot(ctx.p, c) - H),
-        "massless_velocity.even": _peak(Pi_plus[:, None] @ c @ Pi_minus[:, None]),
+        "massless_velocity.hamiltonian": _peak(_dot(ctx.beta, c) - H),
+        "massless_velocity.even": _peak((ID4 + H)[:, None] @ c @ (ID4 - H)[:, None] / 4.0),
     }
 
 
@@ -522,7 +509,7 @@ def _block(p, m, a, first: int) -> dict:
         out.update({**_eigenstate(sub, a[massive]), **_hamiltonian_identity(sub)})
     if moving.any():
         massless = _context(p[moving], np.zeros(int(moving.sum())))
-        out.update(_massless_velocity(massless, _energy(massless)[0]))
+        out.update(_massless_velocity(massless, _energy(massless)))
     return out
 
 
@@ -589,7 +576,8 @@ def eigenstates(ops: DiracOperatorSet, a):
 
     with c1 = |lambda_a| + (a . n)/2 and c2 = m (a . t) / (2 p0). The
     formula needs the relative phase of w- fixed against t, which is done
-    here by taking w- = (t . sigma) w+. Returns (psi_plus, psi_minus)
+    here by taking w- = (t . sigma) w+. Where a . n < 0, c1 cancels: the
+    states are built for -a there and swapped. Returns (psi_plus, psi_minus)
     for the a . S eigenvalues +|lambda_a| and -|lambda_a|. Requires
     m > 0 and |p| > 0.
     """
@@ -607,7 +595,8 @@ def eigenstate_check(ops: DiracOperatorSet, a) -> CheckReport:
 
 
 def precession_frequency(ops: DiracOperatorSet) -> np.ndarray:
-    """The matrix-valued precession frequency omega = -2 gamma5 p, (3, 4, 4)."""
+    """The matrix-valued precession frequency omega = -2 gamma5 p, (3, 4, 4):
+    p0 times the omega / p0 = -2 gamma5 beta that the checks compare with H."""
     return _omega(np.asarray(ops.ctx.p))
 
 
@@ -647,7 +636,7 @@ def spin_form_agreement_check(ops: DiracOperatorSet) -> CheckReport:
 
 
 def casimir_check(ops: DiracOperatorSet) -> CheckReport:
-    """W0^2 - W . W = -(3/4) m^2, the spin-1/2 invariant."""
+    """W0^2 - W . W = -(3/4) m^2, the spin-1/2 invariant: -(3/4) mu^2 over p0^2."""
     return _report("casimir", _casimir(_stack(ops)), IdentityMismatch)
 
 
@@ -670,7 +659,7 @@ def massless_even_velocity_check(p) -> CheckReport:
     if not np.any(p):
         raise NullContext("massless check needs nonzero momentum")
     ctx = _context(p, np.zeros(1))
-    return _report("massless_velocity", _massless_velocity(ctx, _energy(ctx)[0]),
+    return _report("massless_velocity", _massless_velocity(ctx, _energy(ctx)),
                    IdentityMismatch)
 
 

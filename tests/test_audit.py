@@ -270,13 +270,16 @@ class TestBlockLoaderMatchesRowLoader:
         self.check(chars, text + "0,0,0,-1\n")
 
     def test_plain_text_never_reaches_the_csv_reader(self, rng):
-        text = plain_csv(rng, 3000)
-        want = outcome(rowwise_load_distribution, text)
-        with mock.patch.object(audit_module, "_load_text", side_effect=AssertionError):
-            for chars in (*BLOCK_CHARS, audit_module._BLOCK_CHARS):
-                with mock.patch.object(audit_module, "_BLOCK_CHARS", chars):
-                    assert outcome(load_distribution, text) == want
-                    assert outcome(load_distribution, io.StringIO(text)) == want
+        plain = plain_csv(rng, 3000)
+        middle = plain.index("\n", len(plain) // 2) + 1
+        # Blank lines, which the CSV reader skips: trailing, inner and leading.
+        for text in (plain, plain + "\n", plain[:middle] + "\n\n" + plain[middle:], "\n" + plain):
+            want = outcome(rowwise_load_distribution, text)
+            with mock.patch.object(audit_module, "_load_text", side_effect=AssertionError):
+                for chars in (*BLOCK_CHARS, audit_module._BLOCK_CHARS):
+                    with mock.patch.object(audit_module, "_BLOCK_CHARS", chars):
+                        assert outcome(load_distribution, text) == want
+                        assert outcome(load_distribution, io.StringIO(text)) == want
 
 
 class TestStreamedAuditMemory:

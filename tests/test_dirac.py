@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_direction, unit
@@ -84,11 +87,10 @@ class TestBuildContext:
         assert ops.ctx.p0 == 1.3
 
     def test_energy_and_projectors(self, rng):
+        # H is in units of p0, so it squares to 1: it is its own energy sign.
         for _ in range(10):
             ops = random_context(rng)
-            p2m2 = ops.ctx.p0**2
-            assert max_abs(ops.H @ ops.H - p2m2 * ID4) < 1e-12 * p2m2
-            assert max_abs(ops.Lambda @ ops.Lambda - ID4) < 1e-14
+            assert max_abs(ops.H @ ops.H - ID4) < 1e-14
             assert max_abs(ops.Pi_plus @ ops.Pi_plus - ops.Pi_plus) < 1e-14
             assert max_abs(ops.Pi_plus + ops.Pi_minus - ID4) < 1e-15
             assert max_abs(ops.Pi_plus @ ops.Pi_minus) < 1e-14
@@ -179,6 +181,17 @@ class TestEigenstates:
         # construction must still deliver valid eigenstates.
         ops = build_context(2.0 * Z, 1.5)
         assert eigenstate_check(ops, -Z).passed
+
+    @pytest.mark.parametrize("p_mag", [1e6, 1e9, 1e12])
+    def test_axis_against_motion_at_high_speed(self, p_mag):
+        # c1 = |lambda_a| + (a . n) / 2 cancels for a . n < 0 as the speed
+        # nears 1, down to 0 at a = -n.
+        n = unit([0.3, -0.5, 0.8])
+        t = unit(np.cross(n, X))
+        ops = build_context(p_mag * n, 1.0)
+        for a_n in (-0.3, -0.999):
+            assert eigenstate_check(ops, a_n * n + math.sqrt(1.0 - a_n * a_n) * t).passed
+        assert eigenstate_check(ops, -n).passed
 
     def test_ultrarelativistic_conditioning(self):
         # |p| / m = 100 stresses the sqrt(p0 - m) branch; the residuals
@@ -323,14 +336,14 @@ class TestSpinLength:
     def test_against_fifty_digit_reference(self):
         # Relative error bound (4 + 3 kappa) eps with kappa = |p| |p.a| /
         # (m^2 + (p.a)^2), the conditioning of the rounded p . a; it holds
-        # up to |p| / m = 1e6, half the axes orthogonal to p to rounding.
+        # for |p| / m from 1e-8 to 1e12, half the axes orthogonal to p to rounding.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
         rng = np.random.default_rng(5)
         count = 300
         m = rng.uniform(0.2, 3.0, count)
         n = np.array([random_direction(rng) for _ in range(count)])
-        p = (10.0 ** rng.uniform(-2.0, 6.0, count) * m)[:, None] * n
+        p = (10.0 ** rng.uniform(-8.0, 12.0, count) * m)[:, None] * n
         a = np.array([random_direction(rng) for _ in range(count)])
         orthogonal = a - np.sum(a * n, axis=1)[:, None] * n
         a[::2] = (orthogonal / np.linalg.norm(orthogonal, axis=1)[:, None])[::2]
@@ -393,12 +406,31 @@ PLANTED = {
 class TestBattery:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [0.0, 1.0])
-    def test_momentum_near_the_largest_energy_fails_without_warning(self, m):
-        # omega H and 2 p0^2 overflow below the largest accepted energy: the
-        # residuals come out inf or NaN, fail their records and warn nothing.
-        p = 0.999 * dirac._P0_MAX * unit([2.1, -9.7, -7.6])
+    def test_momentum_near_the_largest_energy_passes_without_warning(self, m):
+        # Just below sqrt(max), where p0^2 once overflowed: the operators are
+        # built in units of p0, so nothing overflows and every record passes.
+        p = 0.999 * math.sqrt(np.finfo(float).max) * unit([2.1, -9.7, -7.6])
         records = dirac_battery(p[None], np.array([m]), unit([0.3, 0.1, 0.9])[None])
-        assert not all(r.passed for r in records)
+        assert all(r.passed for r in records)
+
+    @settings(max_examples=150, deadline=None)
+    @given(log_ratio=st.floats(-8.0, 12.0), log_scale=st.floats(-300.0, 300.0),
+           massless=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_every_record_passes_at_any_scale(self, log_ratio, log_scale, massless, seed):
+        # |p| / m log-uniform in [1e-8, 1e12], m = 0 or log-uniform in
+        # [1e-300, 1e300]; one trial per axis: random, along n, against n
+        # and orthogonal to n. A numpy warning fails the example.
+        m = 0.0 if massless else 10.0 ** log_scale
+        p_mag = 10.0 ** (log_scale + log_ratio)
+        assume(math.isfinite(p_mag))
+        rng = np.random.default_rng(seed)
+        n = random_direction(rng)
+        a = random_direction(rng)
+        axes = np.array([a, n, -n, unit(a - np.dot(a, n) * n)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = dirac_battery(np.tile(p_mag * n, (4, 1)), np.full(4, m), axes)
+        assert [r.check for r in records if not r.passed] == []
 
     @pytest.mark.parametrize("trial", [7, 49])
     @pytest.mark.parametrize("kernel", sorted(PLANTED))
@@ -430,7 +462,8 @@ class TestBattery:
         assert all(r.passed for name, r in records.items() if name not in names)
 
     def test_operators_match_the_scalar_formulas(self, rng):
-        # The per-trial matrix formulas the battery replaced, as reference.
+        # The per-trial matrix formulas the battery replaced, as reference,
+        # divided by p0: the operators are in units of the energy.
         p, m, _ = _trials(rng, 30)
         p[4] = 0.0
         ops = dirac._operators(p, m)
@@ -439,9 +472,9 @@ class TestBattery:
             H = sum(p[k][j] * ALPHA[j] for j in range(3)) + m[k] * GAMMA0
             W = [(SPIN[j] @ H + H @ SPIN[j]) / 2.0 for j in range(3)]
             S = [W[j] @ H / (p0 * p0) for j in range(3)]
-            tol = 8.0 * np.finfo(float).eps * p0
-            assert np.array_equal(ops.H[k], H)
-            assert_allclose(ops.W[k], W, rtol=0.0, atol=tol * p0)
+            tol = 8.0 * np.finfo(float).eps
+            assert_allclose(ops.H[k], H / p0, rtol=0.0, atol=tol)
+            assert_allclose(ops.W[k], np.array(W) / p0, rtol=0.0, atol=tol)
             assert_allclose(ops.S[k], S, rtol=0.0, atol=tol)
             if k == 4:
                 assert max_abs(ops.Omega[k]) == 0.0
@@ -449,8 +482,9 @@ class TestBattery:
             n = p[k] / np.linalg.norm(p[k])
             even = (np.dot(p[k], p[k]) / p0**2) * (ID4 + m[k] / np.linalg.norm(p[k])
                                                    * sum(n[j] * GAMMA[j] for j in range(3)))
-            assert_allclose(ops.Omega[k], [even @ (-2.0 * p[k][j] * GAMMA5) for j in range(3)],
-                            rtol=0.0, atol=tol * p0)
+            assert_allclose(ops.Omega[k],
+                            [even @ (-2.0 * p[k][j] * GAMMA5) / p0 for j in range(3)],
+                            rtol=0.0, atol=tol)
 
     def test_mixed_batch_matches_per_context_checks(self, rng):
         p, m, a = _trials(rng, 24)

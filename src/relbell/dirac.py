@@ -19,7 +19,8 @@ pictures together:
 
 The operators are built in units of the energy p0 = hypot(|p|, m), from
 beta = p / p0 and mu = m / p0: H / p0 squares to 1, every residual is a
-relative error, and no product over- or underflows at any finite p and m.
+relative error, and no product over- or underflows at any finite p and m
+with a finite energy.
 
 Every identity is computed once, on stacked arrays: ``dirac_battery``
 runs all of them over N trials in one pass, in blocks of ``_BLOCK``
@@ -106,9 +107,9 @@ class DiracContext:
     In a batch every field gains a leading trial axis. ``n`` is the
     momentum direction, None for a single particle at rest (a zero row
     in a batch). The operators are built from ``beta = p / p0``,
-    ``speed = |p| / p0`` and ``mu = m / p0``, which, like n, are accurate
-    to rounding at any finite p and m (``_scaled``); ``p0`` and ``p_mag``
-    are inf where they exceed the largest float.
+    ``speed = |p| / p0`` and ``mu = m / p0``, accurate to rounding at any
+    finite p and m: quotients of ``p_scaled``, ``m_scaled`` and
+    ``p0_scaled``, which are p, m and p0 over a power of two (``_context``).
     """
 
     p: np.ndarray
@@ -119,6 +120,9 @@ class DiracContext:
     beta: np.ndarray
     speed: float
     mu: float
+    p_scaled: np.ndarray
+    m_scaled: float
+    p0_scaled: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,23 +260,23 @@ def _validate(p, m) -> None:
             lambda k: f"momentum must be finite, got {p[k].tolist()!r}")
     _reject(~np.any(p != 0.0, axis=1) & (m == 0.0), NullContext,
             lambda k: "momentum and mass are both zero")
-
-
-def _scaled(p, m):
-    """p, m, |p| and the energy hypot(|p|, m) over the power of two 2^e
-    that brings the largest of |p_k| and m into [0.5, 1), with the
-    direction n and e. The scaling is exact, and no square on the way
-    over- or underflows, whatever the scale of p and m."""
-    e = np.frexp(np.maximum(np.abs(p).max(axis=1), m))[1]
-    p, m = np.ldexp(p, -e[:, None]), np.ldexp(m, -e)
-    p_mag, n = lengths_and_directions(p)
-    return p, m, p_mag, np.hypot(p_mag, m), n, e
+    _context(p, m)  # rejects an energy above the largest float
 
 
 def _context(p, m) -> DiracContext:
-    p_e, m_e, p_mag, p0, n, e = _scaled(p, m)
+    """The context of p (N, 3), m (N,) that pass ``_validate``'s other
+    checks. p and m are divided by the power of two 2^e that brings the
+    largest of |p_k| and m into [0.5, 1), exactly, so no square on the way
+    over- or underflows; ValueError where the energy 2^e p0 overflows."""
+    e = np.frexp(np.maximum(np.abs(p).max(axis=1), m))[1]
+    p_e, m_e = np.ldexp(p, -e[:, None]), np.ldexp(m, -e)
+    p_mag, n = lengths_and_directions(p_e)
+    p0 = np.hypot(p_mag, m_e)
+    _reject(e + np.frexp(p0)[1] > np.finfo(float).maxexp, ValueError,
+            lambda k: "energy hypot(|p|, m) exceeds the largest float")
     return DiracContext(p=p, m=m, p0=np.ldexp(p0, e), p_mag=np.ldexp(p_mag, e), n=n,
-                        beta=p_e / p0[:, None], speed=p_mag / p0, mu=m_e / p0)
+                        beta=p_e / p0[:, None], speed=p_mag / p0, mu=m_e / p0,
+                        p_scaled=p_e, m_scaled=m_e, p0_scaled=p0)
 
 
 def _energy(ctx):
@@ -349,14 +353,13 @@ def _spin_length(ctx, a):
     """|lambda_a| = hypot(m, p . a) / (2 p0), the alpha-map length
     sqrt(1 + (beta . a)^2 - beta^2) / 2 written without 1 - beta^2.
 
-    Exact in p and m, which ``_scaled`` divides by a power of two, not by
+    Exact in p and m, which ``_context`` scales by a power of two, not by
     p0: the relative error stays within (4 + 3 kappa) eps,
     kappa = |p| |p . a| / (m^2 + (p . a)^2) being the conditioning of the
     rounded p . a, at any speed (tested for |p| / m from 1e-8 to 1e12
     against a 50-digit reference).
     """
-    p, m, _, p0, _, _ = _scaled(ctx.p, ctx.m)
-    return np.hypot(m, _rowdot(p, a)) / (2.0 * p0)
+    return np.hypot(ctx.m_scaled, _rowdot(ctx.p_scaled, a)) / (2.0 * ctx.p0_scaled)
 
 
 # --- the identities; each maps record names to per-trial residuals ---
@@ -516,15 +519,15 @@ def _block(p, m, a, first: int) -> dict:
 def dirac_battery(p, m, a) -> tuple:
     """Run every identity check over N trials in one array pass.
 
-    ``p`` (N, 3) momenta, ``m`` (N,) masses, ``a`` (N, 3) unit analyzer
-    axes. The inputs are validated once, naming the first bad trial:
-    axes unit within 1e-12, p finite, m finite and >= 0, NullContext
-    where p and m both vanish, and a . S Hermitian within herm_eig's tolerance
+    ``p`` (N, 3) momenta, ``m`` (N,) masses, ``a`` (N, 3) unit analyzer axes.
+    Bad inputs raise, naming the first bad trial: axes unit within 1e-12, p
+    finite, m finite and >= 0, NullContext where p and m both vanish, an energy
+    within the largest float, and a . S Hermitian within herm_eig's tolerance
     (NonHermitianInput). Returns one :class:`CheckRecord` per record that
-    applies to at least one trial (see ``_block``), in check order, with
-    the largest residual over those trials and its tolerance.
-    Failing records are returned, not raised. Trials run in blocks of
-    ``_BLOCK``; a trial's residuals do not depend on the others.
+    applies to at least one trial (see ``_block``), in check order, with the
+    largest residual over those trials and its tolerance. Failing records are
+    returned, not raised. Trials run in blocks of ``_BLOCK``; a trial's
+    residuals do not depend on the others.
     """
     p = np.asarray(p, dtype=float)
     m = np.asarray(m, dtype=float)

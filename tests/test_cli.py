@@ -404,6 +404,14 @@ class TestDiracCheck:
         assert all(r["pass"] for r in json.loads(out))
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [("--p=1.5e308,1.5e308,0", "--m", "1"),
+                                      ("--p=1.5e308,0,0", "--m", "1.5e308")])
+    def test_infinite_energy_is_a_usage_error_without_warning(self, capsys, argv):
+        code, out, err = run(capsys, "dirac-check", *argv, "--trials", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: energy hypot(|p|, m) exceeds the largest float (trial 0)\n"
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [("--p=1.4916681462400413e-154,0,0", "--m", "0"),
                                       ("--p", "0,0,0", "--m", "1.4916681462400413e-154")])
     def test_smallest_energy_whose_square_is_normal_passes(self, capsys, argv):

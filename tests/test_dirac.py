@@ -413,6 +413,27 @@ class TestBattery:
         records = dirac_battery(p[None], np.array([m]), unit([0.3, 0.1, 0.9])[None])
         assert all(r.passed for r in records)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_largest_finite_energy_passes_without_warning(self, m):
+        p = np.array([[np.finfo(float).max, 0.0, 0.0]])
+        records = dirac_battery(p, np.array([m]), np.array([[0.6, 0.0, 0.8]]))
+        assert all(r.passed for r in records)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_energy_is_rejected_without_warning(self, rng):
+        p, m, a = _trials(rng, 6)
+        big = np.finfo(float).max
+        p[3] = [0.6 * big, 0.0, 0.8 * big]
+        dirac_battery(p, m, a)
+        for row, mass in (([big, 0.0, 0.0], big), ([1.5e308, 1.5e308, 0.0], 1.0)):
+            p[3], m[3] = row, mass
+            with pytest.raises(ValueError, match=r"energy hypot\(\|p\|, m\) exceeds the "
+                                                 r"largest float \(trial 3\)"):
+                dirac_battery(p, m, a)
+            with pytest.raises(ValueError, match="exceeds the largest float"):
+                build_context(p[3], m[3])
+
     @settings(max_examples=150, deadline=None)
     @given(log_ratio=st.floats(-8.0, 12.0), log_scale=st.floats(-300.0, 300.0),
            massless=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -467,13 +488,18 @@ class TestBattery:
         p, m, _ = _trials(rng, 30)
         p[4] = 0.0
         ops = dirac._operators(p, m)
+        eps = np.finfo(float).eps
         for k in range(30):
             p0 = math.hypot(np.linalg.norm(p[k]), m[k])
+            beta, mu = ops.ctx.beta[k], ops.ctx.mu[k]
+            assert_allclose(beta, p[k] / p0, rtol=4.0 * eps, atol=0.0)
+            assert_allclose(mu, m[k] / p0, rtol=4.0 * eps, atol=0.0)
+            assert np.array_equal(ops.H[k], sum(beta[j] * ALPHA[j] for j in range(3))
+                                  + mu * GAMMA0)
             H = sum(p[k][j] * ALPHA[j] for j in range(3)) + m[k] * GAMMA0
             W = [(SPIN[j] @ H + H @ SPIN[j]) / 2.0 for j in range(3)]
             S = [W[j] @ H / (p0 * p0) for j in range(3)]
-            tol = 8.0 * np.finfo(float).eps
-            assert_allclose(ops.H[k], H / p0, rtol=0.0, atol=tol)
+            tol = 8.0 * eps * p0
             assert_allclose(ops.W[k], np.array(W) / p0, rtol=0.0, atol=tol)
             assert_allclose(ops.S[k], S, rtol=0.0, atol=tol)
             if k == 4:

@@ -30,10 +30,8 @@ from .errors import (
 )
 from .kinematics import (
     BeamVelocity,
-    SpinProjectionSpectrum,
     alpha_norm,
     alpha_vector,
-    decompose,
     spin_eigenvalues,
     spin_structure_constants,
     w_projection_eigenvalues,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateObservable, EmptyGrid
-from .kinematics import BeamVelocity, check_unit, lengths_and_directions
+from .kinematics import BeamVelocity, alpha_vectors, check_unit, lengths_and_directions
 from .observables import correlations
 
 # Correctly rounded 1/sqrt(2); 1.0/math.sqrt(2.0) is one ulp low and the
@@ -45,13 +45,12 @@ _CSV_BLOCK_ROWS = 1 << 12
 # of its four terms, bit-identical to math.fsum: blocks of at least
 # _VECTOR_SUM_MIN_ROWS rows compute it with error-free transforms and a
 # per-row certificate, smaller ones with math.fsum: up to ~150 rows,
-# numpy's fixed cost per call outweighs fsum's cost per row.
+# numpy's fixed cost per call outweighs fsum's cost per row. The terms are
+# correlations, in [-1, 1] to rounding or NaN (degenerate settings), so no
+# partial sum overflows; a NaN or infinite row fails the certificate and
+# goes to fsum alone.
 _FSUM_BLOCK_ROWS = 1 << 14
 _VECTOR_SUM_MIN_ROWS = 160
-# Terms at most this large keep every partial sum finite, both here and in
-# math.fsum; a block with a larger or infinite term goes to fsum whole. NaN
-# terms (degenerate settings) fail the certificate, so only their rows do.
-_VECTOR_SUM_MAX_TERM = 2.0**1020
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,17 +162,16 @@ def _certified_sums(block):
 
 
 def _row_sums(flat):
-    """The sum of each row of an (N, 4) array, bit-identical to math.fsum
-    of the row: certified error-free sums in blocks of _FSUM_BLOCK_ROWS,
-    with math.fsum for small blocks, for blocks with a term beyond
-    _VECTOR_SUM_MAX_TERM and for the rows the certificate cannot clear."""
+    """The sum of each row of an (N, 4) array of CHSH terms, bit-identical
+    to math.fsum of the row: certified error-free sums in blocks of
+    _FSUM_BLOCK_ROWS, with math.fsum for small blocks and for the rows the
+    certificate cannot clear."""
     values = np.empty(len(flat))
     for k in range(0, len(flat), _FSUM_BLOCK_ROWS):
         block = flat[k:k + _FSUM_BLOCK_ROWS]
         out = values[k:k + _FSUM_BLOCK_ROWS]
         rows = slice(None)
-        if (len(block) >= _VECTOR_SUM_MIN_ROWS
-                and np.fmax.reduce(np.abs(block), axis=None) <= _VECTOR_SUM_MAX_TERM):
+        if len(block) >= _VECTOR_SUM_MIN_ROWS:
             out[:], doubtful = _certified_sums(block)
             rows = np.flatnonzero(doubtful)
         out[rows] = list(map(math.fsum, block[rows].tolist()))
@@ -366,14 +364,12 @@ def calibrated_settings(beta, initial: ChshSettings | None = None) -> ChshSettin
         return ChshSettings(n.copy(), n.copy(), n.copy(), n.copy())
     # (1 - |beta|)(1 + |beta|) keeps full relative precision near light
     # speed, where 1 - |beta|^2 from a rounded square does not; the forward
-    # map below, like alpha_vector, uses it too, so that a warm start from
-    # calibrated settings returns them to 1e-12.
+    # map, alpha_vectors, uses it too, so that a warm start from calibrated
+    # settings returns them to 1e-12.
     shrink = math.sqrt((1.0 - bv.magnitude) * (1.0 + bv.magnitude))
     target = STANDARD_SETTINGS.axes
     if initial is not None:
-        axes = initial.axes
-        par = np.outer(axes @ n, n)
-        deformed = lengths_and_directions(shrink * (axes - par) + par)[1]
+        deformed = lengths_and_directions(alpha_vectors(initial.axes, bv.magnitude, n))[1]
         u, _, vt = np.linalg.svd(deformed.T @ target)
         target = target @ (u @ vt).T
     par = np.outer(target @ n, n)

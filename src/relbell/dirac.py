@@ -183,22 +183,11 @@ class CheckReport:
     def max_residual(self) -> float:
         return max(r.max_residual for r in self.records)
 
-    def as_dicts(self) -> list:
-        return [r.as_dict() for r in self.records]
-
 
 def _record(check: str, residual) -> CheckRecord:
     """The record of a residual against the tolerance ``_TOL`` gives its name."""
     residual, tol = float(residual), _TOL[check]
     return CheckRecord(check=check, max_residual=residual, tolerance=tol, passed=residual <= tol)
-
-
-def _finish(name: str, records, error_cls) -> CheckReport:
-    report = CheckReport(name=name, records=tuple(records))
-    if not report.passed:
-        failing = ", ".join(f"{r.check}={r.max_residual:.3e}" for r in records if not r.passed)
-        raise error_cls(f"{name} exceeded tolerance: {failing}", report=report)
-    return report
 
 
 def _reject(bad, error_cls, message, first: int = 0) -> None:
@@ -279,11 +268,6 @@ def _context(p, m) -> DiracContext:
                         p_scaled=p_e, m_scaled=m_e, p0_scaled=p0)
 
 
-def _energy(ctx):
-    """H / p0 = alpha . beta + mu gamma0."""
-    return _dot(ctx.beta, _ALPHA) + _col(ctx.mu) * GAMMA0
-
-
 def _omega(p):
     """The precession frequency omega_k = -2 p_k gamma5, (..., 3, 4, 4)."""
     return -2.0 * p[..., None, None] * GAMMA5
@@ -292,7 +276,7 @@ def _omega(p):
 def _operators(p, m) -> DiracOperatorSet:
     """The operator family of every trial of validated p (N, 3), m (N,)."""
     ctx = _context(p, m)
-    H = _energy(ctx)
+    H = _dot(ctx.beta, _ALPHA) + _col(ctx.mu) * GAMMA0  # H / p0
     Hk = H[:, None]
     W = (_SPIN @ Hk + Hk @ _SPIN) / 2.0
     # Omega / beta^2 = (1 + (m / |p|) gamma . n) omega is, over p0,
@@ -481,12 +465,13 @@ def _evenness(ops) -> dict:
     return {"evenness.spin": _mixing(ops, ops.S), "evenness.omega": _mixing(ops, ops.Omega)}
 
 
-def _massless_velocity(ctx, H) -> dict:
-    """Residuals of H = c . p for massless contexts (m = 0, |p| > 0) with
-    Hamiltonian H over p0; c_k = (v . n) n_k with v the velocity matrices."""
-    c = _dot(ctx.n, _ALPHA)[:, None] * ctx.n[:, :, None, None]
+def _massless_velocity(n, H) -> dict:
+    """Residuals of H = c . p for massless trials moving along the unit
+    directions n (N, 3), whose Hamiltonian over p0 is H = alpha . n;
+    c_k = (v . n) n_k with v the velocity matrices."""
+    c = _dot(n, _ALPHA)[:, None] * n[:, :, None, None]
     return {
-        "massless_velocity.hamiltonian": _peak(_dot(ctx.beta, c) - H),
+        "massless_velocity.hamiltonian": _peak(_dot(n, c) - H),
         "massless_velocity.even": _peak((ID4 + H)[:, None] @ c @ (ID4 - H)[:, None] / 4.0),
     }
 
@@ -511,8 +496,13 @@ def _block(p, m, a, first: int) -> dict:
         sub = _select(ops, massive)
         out.update({**_eigenstate(sub, a[massive]), **_hamiltonian_identity(sub)})
     if moving.any():
-        massless = _context(p[moving], np.zeros(int(moving.sum())))
-        out.update(_massless_velocity(massless, _energy(massless)))
+        # The directions of p over the power of two that brings its largest
+        # component into [0.5, 1), as at m = 0. ctx.n has the same bits except
+        # where |p| < ~1e-146 m: p_e is then rescaled by its largest component.
+        q = p[moving]
+        e = np.frexp(np.abs(q).max(axis=1))[1]
+        n = lengths_and_directions(np.ldexp(q, -e[:, None]))[1]
+        out.update(_massless_velocity(n, _dot(n, _ALPHA)))
     return out
 
 
@@ -548,8 +538,12 @@ def dirac_battery(p, m, a) -> tuple:
 # --- one-context wrappers over the batch code ---
 
 def _report(name, residuals: dict, error_cls) -> CheckReport:
-    records = [_record(check, values[0]) for check, values in residuals.items()]
-    return _finish(name, records, error_cls)
+    records = tuple(_record(check, values[0]) for check, values in residuals.items())
+    report = CheckReport(name=name, records=records)
+    if not report.passed:
+        failing = ", ".join(f"{r.check}={r.max_residual:.3e}" for r in records if not r.passed)
+        raise error_cls(f"{name} exceeded tolerance: {failing}", report=report)
+    return report
 
 
 def spin_spectrum_check(ops: DiracOperatorSet, a) -> CheckReport:
@@ -661,9 +655,8 @@ def massless_even_velocity_check(p) -> CheckReport:
     p = np.asarray(p, dtype=float).reshape(1, 3)
     if not np.any(p):
         raise NullContext("massless check needs nonzero momentum")
-    ctx = _context(p, np.zeros(1))
-    return _report("massless_velocity", _massless_velocity(ctx, _energy(ctx)),
-                   IdentityMismatch)
+    n = _context(p, np.zeros(1)).n
+    return _report("massless_velocity", _massless_velocity(n, _dot(n, _ALPHA)), IdentityMismatch)
 
 
 @dataclass(frozen=True)

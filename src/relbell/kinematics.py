@@ -32,14 +32,6 @@ from .errors import GammaInconsistent
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def unit_vector(v) -> np.ndarray:
-    """Normalize a nonzero 3-vector to unit length."""
-    length, direction = lengths_and_directions(np.asarray(v, dtype=float).reshape(3))
-    if length == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return direction
-
-
 def random_direction(rng) -> np.ndarray:
     """A unit 3-vector uniform on the sphere, drawn from the generator rng.
 
@@ -158,30 +150,6 @@ class BeamVelocity:
         return 1.0 / math.sqrt(1.0 - self.magnitude**2)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinProjectionSpectrum:
-    """Eigenvalues of the spin projection on a deformed analyzer axis.
-
-    ``eigenvalues`` holds j3 * |alpha(a, beta)| for j3 = -j ... +j in
-    ascending order.
-    """
-
-    j: float
-    eigenvalues: np.ndarray
-
-
-def decompose(a, n):
-    """Split a into components parallel and orthogonal to the unit axis n.
-
-    Returns (a_par, a_perp) with a_par = (n . a) n and a_perp = a - a_par,
-    so the two parts always reassemble to a exactly.
-    """
-    a = np.asarray(a, dtype=float).reshape(3)
-    n = check_unit(n, "axis")
-    a_par = float(np.dot(n, a)) * n
-    return a_par, a - a_par
-
-
 def alpha_vector(a, beta) -> np.ndarray:
     """The deformed analyzer axis sqrt(1 - beta^2) a_perp + a_par.
 
@@ -222,9 +190,10 @@ def alpha_norm(a, beta) -> float:
     return math.sqrt(alpha_lengths(a[None], bv.magnitude, bv.direction)[1][0])
 
 
-def spin_eigenvalues(a, beta, j: float = 0.5) -> SpinProjectionSpectrum:
+def spin_eigenvalues(a, beta, j: float = 0.5) -> np.ndarray:
     """Spectrum of the spin projection along a for a particle moving
-    with velocity beta.
+    with velocity beta: j3 * |alpha(a, beta)| for j3 = -j ... +j, in
+    ascending order.
 
     j must be a positive half-integer. The eigenvalues are the rest-frame
     projections j3 scaled by the common factor |alpha(a, beta)|, so the
@@ -236,7 +205,7 @@ def spin_eigenvalues(a, beta, j: float = 0.5) -> SpinProjectionSpectrum:
         raise ValueError(f"j must be a positive half-integer, got {j!r}")
     factor = alpha_norm(a, beta)
     j3 = np.arange(-round(2.0 * jj), round(2.0 * jj) + 1, 2) / 2.0
-    return SpinProjectionSpectrum(j=jj, eigenvalues=j3 * factor)
+    return j3 * factor
 
 
 def w_projection_eigenvalues(a, beta, gamma: float, j: float = 0.5) -> np.ndarray:
@@ -252,14 +221,14 @@ def w_projection_eigenvalues(a, beta, gamma: float, j: float = 0.5) -> np.ndarra
     expected = bv.gamma
     if not (abs(float(gamma) - expected) <= 1e-9):
         raise GammaInconsistent(f"gamma = {gamma!r} but 1/sqrt(1-beta^2) = {expected!r}")
-    return float(gamma) * spin_eigenvalues(a, bv, j).eigenvalues
+    return float(gamma) * spin_eigenvalues(a, bv, j)
 
 
 def orthonormal_triad(n):
     """A deterministic right-handed orthonormal triad (e1, e2, n)."""
     n = check_unit(n, "axis")
     ref = Z_AXIS if abs(n[2]) <= 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = unit_vector(np.cross(ref, n))
+    e1 = lengths_and_directions(np.cross(ref, n))[1]
     e2 = np.cross(n, e1)
     return e1, e2, n
 

@@ -1,7 +1,6 @@
 """Tests for CHSH combinations, velocity scans, and the settings calibration."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -364,13 +363,6 @@ class TestRowSums:
         rows[7] = [math.nan, 1.0, 2.0, 3.0]
         rows[11] = [1e308, -1e308, 1e300, 5.0]
         assert_same_bits(bell._row_sums(rows), fsum_rows(rows))
-        # max + 2**970 rounds to inf, so math.fsum overflows in a partial
-        # sum here; the error-free transforms alone would return 2**970.
-        big = sys.float_info.max
-        huge = np.tile([big, 2.0**969, 2.0**969, -big], (400, 1))
-        for row_sums in (fsum_rows, bell._row_sums):
-            with pytest.raises(OverflowError):
-                row_sums(huge)
 
     @pytest.mark.parametrize("batch", ["fig2", "fig3", "audit"])
     def test_kernel_matches_rowwise_chsh(self, batch, rng):

@@ -82,7 +82,6 @@ from .audit import (
     NO_ALARM,
     AuditReport,
     VelocityDistribution,
-    audit,
     expected_chsh,
     load_distribution,
 )

@@ -46,9 +46,8 @@ _CSV_BLOCK_ROWS = 1 << 12
 # _VECTOR_SUM_MIN_ROWS rows compute it with error-free transforms and a
 # per-row certificate, smaller ones with math.fsum: up to ~150 rows,
 # numpy's fixed cost per call outweighs fsum's cost per row. The terms are
-# correlations, in [-1, 1] to rounding or NaN (degenerate settings), so no
-# partial sum overflows; a NaN or infinite row fails the certificate and
-# goes to fsum alone.
+# correlations, in [-1, 1] to rounding or NaN, so no partial sum overflows;
+# a non-finite row fails the certificate and goes to fsum alone.
 _FSUM_BLOCK_ROWS = 1 << 14
 _VECTOR_SUM_MIN_ROWS = 160
 

@@ -75,11 +75,18 @@ def _singlets(direction):
     return (outer - np.swapaxes(outer, -1, -2)) / math.sqrt(2.0)
 
 
+def _lengths(axes, speed, direction):
+    """n.a, |alpha| and the degenerate mask |alpha| <= DEGENERACY_THRESHOLD (..., K)
+    of axes (..., K, 3), as in ``alpha_lengths``: both routes' one degeneracy test."""
+    n_dot, len2 = alpha_lengths(axes, speed, direction)
+    length = np.sqrt(len2)
+    return n_dot, length, length <= DEGENERACY_THRESHOLD
+
+
 def _observables(axes, speed, direction):
     """alpha_hat . sigma (..., K, 2, 2), NaN where degenerate, |alpha| and the
     degenerate mask (..., K) of axes (..., K, 3); the rest as in ``alpha_lengths``."""
-    length = np.sqrt(alpha_lengths(axes, speed, direction)[1])
-    degenerate = length <= DEGENERACY_THRESHOLD
+    _, length, degenerate = _lengths(axes, speed, direction)
     hat = alpha_vectors(axes, speed, direction) / np.where(degenerate, math.nan, length)[..., None]
     return pauli_dot(hat), length, degenerate
 
@@ -129,10 +136,8 @@ def correlations(left, right, speed, direction):
     R) marks the axes, left then right, with |alpha| <= DEGENERACY_THRESHOLD,
     and E is NaN there. The one kernel of every closed-form correlation."""
     k = left.shape[-2]
-    n_dot, len2 = alpha_lengths(np.concatenate((left, right), axis=-2), speed, direction)
-    degenerate = len2 <= DEGENERACY_THRESHOLD**2
-    len2[degenerate] = math.nan
-    length = np.sqrt(len2)
+    n_dot, length, degenerate = _lengths(np.concatenate((left, right), axis=-2), speed, direction)
+    length[degenerate] = math.nan
     b2 = np.multiply(speed, speed)[..., None, None]
     # alpha(a) . alpha(b) = (1 - beta^2) a . b + beta^2 (n.a)(n.b), exact at
     # rest and at light speed, built in place for a low peak memory, and

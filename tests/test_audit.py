@@ -1,12 +1,12 @@
 """Tests for velocity-distribution loading and the false-alarm audit."""
 
 import csv
-import importlib
 import io
 import json
 import math
 import os
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import relbell.audit as audit_module
 from conftest import plain_csv, random_beta, random_direction
 from relbell.audit import (
     FALSE_ALARM_RISK,
@@ -33,12 +34,17 @@ from relbell.errors import EmptyDistribution, ParseError, SuperluminalSample
 from relbell.format17 import format_17g
 from relbell.kinematics import BeamVelocity, speeds
 
-# The module, not the audit() function that relbell exports under its name.
-audit_module = importlib.import_module("relbell.audit")
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
 HEADER = "beta_x,beta_y,beta_z,weight\n"
+
+
+def test_relbell_audit_is_the_module():
+    # relbell exports the audit module under its name, not the audit() function.
+    import relbell
+    assert relbell.audit is sys.modules["relbell.audit"]
+    assert audit_module is sys.modules["relbell.audit"]
 
 
 def rest_distribution():

@@ -2,7 +2,6 @@
 
 import argparse
 import codecs
-import importlib
 import json
 import locale
 import math
@@ -11,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+import relbell.audit as audit_module
 from conftest import plain_csv
 from relbell import cli, dirac
 from relbell.bell import STANDARD_SETTINGS, chsh_value
@@ -19,8 +19,6 @@ from relbell.kinematics import BeamVelocity, alpha_vector, random_direction
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
-# The module, not the audit() function that relbell exports under its name.
-audit_module = importlib.import_module("relbell.audit")
 
 
 def run(capsys, *argv):

@@ -258,6 +258,26 @@ class TestCorrelations:
         assert corr[0, 1] == 1.0
         assert np.isnan(corr[0, 0]) and np.isnan(corr[1]).all()
 
+    def test_both_routes_share_one_degeneracy_predicate(self, monkeypatch):
+        # |alpha|^2 above 1e-12**2 whose square root rounds to 1e-12: the
+        # closed form once kept this axis and the oracle called it degenerate.
+        len2 = 1.0000000000000001e-24
+        assert len2 > observables.DEGENERACY_THRESHOLD**2
+        assert math.sqrt(len2) <= observables.DEGENERACY_THRESHOLD
+        alpha_lengths = observables.alpha_lengths
+
+        def patched(axes, speed, direction):
+            n_dot, lengths = alpha_lengths(axes, speed, direction)
+            lengths[..., 0] = len2
+            return n_dot, lengths
+
+        monkeypatch.setattr(observables, "alpha_lengths", patched)
+        left, right = np.array([X, Y]), np.array([Z])
+        closed, closed_degenerate = correlations(left, right, 0.5, Z)
+        oracle, oracle_degenerate = oracle_correlations(left, right, 0.5, Z)
+        assert closed_degenerate.tolist() == oracle_degenerate.tolist() == [True, False, False]
+        assert np.isnan(closed[0]).all() and np.isnan(oracle[0]).all()
+
 
 class TestNonFiniteAxes:
     # |v| of a vector with a NaN component is NaN, which no tolerance

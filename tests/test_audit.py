@@ -34,7 +34,6 @@ from relbell.errors import EmptyDistribution, ParseError, SuperluminalSample
 from relbell.format17 import format_17g
 from relbell.kinematics import BeamVelocity, speeds
 
-
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
 HEADER = "beta_x,beta_y,beta_z,weight\n"

@@ -20,7 +20,6 @@ from relbell.kinematics import BeamVelocity, alpha_vector, random_direction
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
 
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

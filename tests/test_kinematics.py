@@ -114,6 +114,14 @@ class TestLengthsAndDirections:
         assert length[4] == np.sqrt(np.einsum("j,j->", v[4], v[4]))
         assert np.array_equal(direction[4], v[4] / length[4])
 
+    def test_single_vector(self):
+        # One (3,) vector, as orthonormal_triad passes it, on the plain
+        # and on the rescaled path.
+        for v, scale in (([0.0, 0.0, 2.5], 2.5), ([0.0, 0.0, 2.5e-300], 2.5e-300)):
+            length, direction = lengths_and_directions(np.array(v))
+            assert direction.shape == (3,) and length.shape == ()
+            assert length == scale and np.array_equal(direction, Z)
+
 
 class TestAlphaVector:
     def test_rest_is_identity(self, rng):
@@ -324,6 +332,19 @@ class TestTriad:
             e1, e2, e3 = orthonormal_triad(n)
             assert np.array_equal(e3, n)
             assert abs(np.dot(e1, e2)) < 1e-15
+
+    def test_reference_switch_keeps_e1_unit(self):
+        # ref x n has length >= sqrt(1 - 0.9^2) on both sides of the switch
+        # at |n_z| = 0.9, so e1 is never the direction of a zero vector.
+        for nz in (0.9, np.nextafter(0.9, 1.0), -0.9, 1.0, -1.0):
+            for phi in (0.0, 1.0, math.pi / 2):
+                rho = math.sqrt(1.0 - nz * nz)
+                n = np.array([rho * math.cos(phi), rho * math.sin(phi), nz])
+                n = n / np.linalg.norm(n)
+                e1, e2, e3 = orthonormal_triad(n)
+                g = np.array([e1, e2, e3])
+                assert max_abs(g @ g.T - np.eye(3)) < 1e-15
+                assert_allclose(np.cross(e1, e2), e3, atol=1e-15)
 
 
 class TestUnitHelpers:

@@ -375,12 +375,8 @@ def render_json(obj, indent: int = 0) -> str:
             return f"{{\n{pad}  {body}\n{pad}}}"
         body = sep.join([render_json(val, indent + 1) for val in obj])
         return f"[\n{pad}  {body}\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, float):
         return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
     return json.dumps(obj)
 
 

@@ -196,9 +196,9 @@ def chsh_value(settings: ChshSettings, beta) -> float:
 class ScanTable:
     """A rectangular table of values over a coordinate grid.
 
-    ``values`` has shape grid-shape + (len(columns),). Grid points where
-    the value is undefined (a degenerate observable) are listed in
-    ``gaps`` and hold NaN; every value off that list is finite. The table
+    ``values`` has shape grid-shape + (len(columns),). A grid point with
+    a non-finite value in any column (NaN where an observable degenerates)
+    is a gap: its row prints ``degenerate`` in every column. The table
     serializes to CSV with one row per grid point, leading ``#`` metadata
     lines, and shortest round-trip float formatting, so identical inputs
     reproduce identical bytes.
@@ -208,19 +208,17 @@ class ScanTable:
     coords: tuple
     columns: tuple
     values: np.ndarray
-    gaps: tuple = ()
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         expected = tuple(len(c) for c in self.coords) + (len(self.columns),)
         if tuple(self.values.shape) != expected:
             raise ValueError(f"values shape {self.values.shape} != grid shape {expected}")
-        unmarked = ~np.all(np.isfinite(self.values), axis=-1)
-        if self.gaps:
-            unmarked[tuple(np.array(self.gaps).T)] = False
-        if unmarked.any():
-            idx = tuple(int(i) for i in np.argwhere(unmarked)[0])
-            raise ValueError(f"non-finite value at grid point {idx} not marked as a gap")
+
+    @property
+    def gaps(self) -> tuple:
+        """The index tuples of the grid points with a non-finite value, in row order."""
+        return tuple(map(tuple, np.argwhere(~np.isfinite(self.values).all(axis=-1)).tolist()))
 
     def to_csv(self) -> str:
         shape = self.values.shape[:-1]
@@ -236,10 +234,7 @@ class ScanTable:
                       for c in self.coords]
         strides = [math.prod(shape[d + 1:]) for d in range(len(shape))]
         values = np.asarray(self.values, dtype=float).reshape(rows, len(self.columns))
-        gap = np.zeros(shape, dtype=bool)
-        if self.gaps:
-            gap[tuple(np.array(self.gaps).T)] = True
-        gap = gap.reshape(rows)
+        gap = ~np.isfinite(values).all(axis=-1)
         for start in range(0, rows, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, rows)
             index = np.arange(start, stop)
@@ -258,13 +253,13 @@ class ScanTable:
 
 def _chsh_table(settings: ChshSettings, axes, coords, columns, speed, direction,
                 metadata) -> ScanTable:
-    """chsh_batch over a grid of batch shape coordinates + (columns,); a
-    grid point is a gap when a setting degenerates in any column."""
-    values, degenerate = chsh_batch(settings.axes, speed, direction)
-    gaps = np.argwhere(degenerate.any(axis=(-2, -1)))
+    """chsh_batch over a grid of batch shape coordinates + (columns,). A
+    degenerate setting makes its value NaN, so a grid point is a gap when
+    a setting degenerates in any column."""
+    values = chsh_batch(settings.axes, speed, direction)[0]
     labeled = {label: ",".join(repr(float(x)) for x in axis) for label, axis in settings.labeled()}
     return ScanTable(axes=axes, coords=coords, columns=columns, values=values,
-                     gaps=tuple(map(tuple, gaps.tolist())), metadata={**labeled, **metadata})
+                     metadata={**labeled, **metadata})
 
 
 def scan_beta_phi(settings: ChshSettings, beta_grid, phi_grid) -> ScanTable:

@@ -137,8 +137,7 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_chsh(args) -> int:
-    settings = args.settings if args.settings is not None else STANDARD_SETTINGS
-    _emit(f"{chsh_value(settings, args.beta)!r}\n", args.out)
+    _emit(f"{chsh_value(args.settings, args.beta)!r}\n", args.out)
     return 0
 
 
@@ -149,17 +148,15 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    settings = args.settings if args.settings is not None else STANDARD_SETTINGS
     thetas = np.linspace(0.0, math.pi, args.grid)
     phis = np.linspace(0.0, 2.0 * math.pi, args.grid)
-    _emit(scan_theta_phi(settings, args.beta_mag, thetas, phis).to_csv(), args.out)
+    _emit(scan_theta_phi(args.settings, args.beta_mag, thetas, phis).to_csv(), args.out)
     return 0
 
 
 def _cmd_fig3(args) -> int:
-    settings = args.settings if args.settings is not None else STANDARD_SETTINGS
     table = scan_beta_phi(
-        settings,
+        args.settings,
         np.linspace(0.0, 0.999, args.grid),
         np.linspace(0.0, 2.0 * math.pi, args.grid),
     )
@@ -193,8 +190,7 @@ def _cmd_crypto_audit(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"cannot read {args.dist}: {exc}\n")
         return 1
-    settings = args.settings if args.settings is not None else STANDARD_SETTINGS
-    report = audit(dist, settings, threshold=args.threshold)
+    report = audit(dist, args.settings, threshold=args.threshold)
     _emit(report.json_pieces(), args.out)
     return 3 if report.verdict == FALSE_ALARM_RISK else 0
 
@@ -309,6 +305,8 @@ def main(argv=None) -> int:
         parser.error("--m must be non-negative")
     if getattr(args, "threshold", None) is not None and not (0.0 < args.threshold <= _MAX_CHSH + 1e-12):
         parser.error("--threshold must lie in (0, 2*sqrt(2)]")
+    if getattr(args, "settings", STANDARD_SETTINGS) is None:
+        args.settings = STANDARD_SETTINGS
     try:
         return args.func(args)
     except RelbellError as exc:

@@ -47,7 +47,7 @@ from .errors import (
     SpectrumMismatch,
     ZeroHelicity,
 )
-from .kinematics import check_unit, lengths_and_directions, orthonormal_triad
+from .kinematics import check_unit, lengths_and_directions, orthonormal_triad, speeds
 from .linalg import HERMITICITY_TOL, ID2, PAULI, hermitian_deviation
 
 ID4 = np.eye(4, dtype=complex)
@@ -106,7 +106,7 @@ class DiracContext:
 
     In a batch every field gains a leading trial axis. ``n`` is the
     momentum direction, None for a single particle at rest (a zero row
-    in a batch). The operators are built from ``beta = p / p0``,
+    in a batch), the same bits at every mass. The operators are built from ``beta = p / p0``,
     ``speed = |p| / p0`` and ``mu = m / p0``, accurate to rounding at any
     finite p and m: quotients of ``p_scaled``, ``m_scaled`` and
     ``p0_scaled``, which are p, m and p0 over a power of two (``_context``).
@@ -256,10 +256,13 @@ def _context(p, m) -> DiracContext:
     """The context of p (N, 3), m (N,) that pass ``_validate``'s other
     checks. p and m are divided by the power of two 2^e that brings the
     largest of |p_k| and m into [0.5, 1), exactly, so no square on the way
-    over- or underflows; ValueError where the energy 2^e p0 overflows."""
-    e = np.frexp(np.maximum(np.abs(p).max(axis=1), m))[1]
+    over- or underflows; ValueError where the energy 2^e p0 overflows.
+    n is taken from p over the power of two of its own largest component."""
+    big = np.abs(p).max(axis=1)
+    e = np.frexp(np.maximum(big, m))[1]
     p_e, m_e = np.ldexp(p, -e[:, None]), np.ldexp(m, -e)
-    p_mag, n = lengths_and_directions(p_e)
+    n = lengths_and_directions(np.ldexp(p, -np.frexp(big)[1][:, None]))[1]
+    p_mag = speeds(p_e)
     p0 = np.hypot(p_mag, m_e)
     _reject(e + np.frexp(p0)[1] > np.finfo(float).maxexp, ValueError,
             lambda k: "energy hypot(|p|, m) exceeds the largest float")
@@ -422,7 +425,8 @@ def _precession(ops) -> dict:
     return {
         "precession.heisenberg_vs_cross":
             _peak(1.0j * (Hk @ _SPIN - _SPIN @ Hk) - _cross(omega, _SPIN, np.matmul)),
-        "precession.omega_commutes_with_hamiltonian": _peak(omega @ Hk - Hk @ omega),
+        "precession.omega_commutes_with_hamiltonian":
+            _peak(omega @ Hk - Hk @ omega)[ops.ctx.m == 0.0],
     }
 
 
@@ -462,7 +466,8 @@ def _casimir(ops) -> dict:
 
 
 def _evenness(ops) -> dict:
-    return {"evenness.spin": _mixing(ops, ops.S), "evenness.omega": _mixing(ops, ops.Omega)}
+    return {"evenness.spin": _mixing(ops, ops.S),
+            "evenness.omega": _mixing(ops, ops.Omega)[ops.ctx.p_mag > 0.0]}
 
 
 def _massless_velocity(n, H) -> dict:
@@ -479,29 +484,21 @@ def _massless_velocity(n, H) -> dict:
 def _block(p, m, a, first: int) -> dict:
     """Every record's residuals over the trials of one block where it
     applies: the eigenstate and Hamiltonian identity only with m > 0 and
-    |p| > 0, the massless velocity and evenness of Omega with |p| > 0,
-    the conservation of omega only with m = 0."""
+    |p| > 0, the massless velocity along ctx.n with |p| > 0. ``_precession``
+    and ``_evenness`` keep their records' trials (m = 0; |p| > 0) themselves."""
     ops = _operators(p, m)
     ctx = ops.ctx
     moving = ctx.p_mag > 0.0
     massive = moving & (ctx.m > 0.0)
     out = {**_spin_spectrum(ops, a, first), **_precession(ops), **_spin_forms(ops),
            **_casimir(ops), **_evenness(ops)}
-    out["precession.omega_commutes_with_hamiltonian"] = \
-        out["precession.omega_commutes_with_hamiltonian"][ctx.m == 0.0]
-    out["evenness.omega"] = out["evenness.omega"][moving]
     if massive.all():
         out.update({**_eigenstate(ops, a), **_hamiltonian_identity(ops)})
     elif massive.any():
         sub = _select(ops, massive)
         out.update({**_eigenstate(sub, a[massive]), **_hamiltonian_identity(sub)})
     if moving.any():
-        # The directions of p over the power of two that brings its largest
-        # component into [0.5, 1), as at m = 0. ctx.n has the same bits except
-        # where |p| < ~1e-146 m: p_e is then rescaled by its largest component.
-        q = p[moving]
-        e = np.frexp(np.abs(q).max(axis=1))[1]
-        n = lengths_and_directions(np.ldexp(q, -e[:, None]))[1]
+        n = ctx.n[moving]
         out.update(_massless_velocity(n, _dot(n, _ALPHA)))
     return out
 
@@ -538,7 +535,7 @@ def dirac_battery(p, m, a) -> tuple:
 # --- one-context wrappers over the batch code ---
 
 def _report(name, residuals: dict, error_cls) -> CheckReport:
-    records = tuple(_record(check, values[0]) for check, values in residuals.items())
+    records = tuple(_record(check, v[0]) for check, v in residuals.items() if v.size)
     report = CheckReport(name=name, records=records)
     if not report.passed:
         failing = ", ".join(f"{r.check}={r.max_residual:.3e}" for r in records if not r.passed)
@@ -604,10 +601,7 @@ def precession_check(ops: DiracOperatorSet) -> CheckReport:
     precession frequency is then a constant of the motion; that residual
     is reported as a second record in the massless case.
     """
-    residuals = _precession(_stack(ops))
-    if ops.ctx.m != 0.0:
-        del residuals["precession.omega_commutes_with_hamiltonian"]
-    return _report("precession", residuals, PrecessionMismatch)
+    return _report("precession", _precession(_stack(ops)), PrecessionMismatch)
 
 
 def hamiltonian_identity_check(ops: DiracOperatorSet) -> CheckReport:
@@ -639,10 +633,7 @@ def casimir_check(ops: DiracOperatorSet) -> CheckReport:
 
 def evenness_check(ops: DiracOperatorSet) -> CheckReport:
     """S (and Omega, when defined) must not mix the energy signs."""
-    residuals = _evenness(_stack(ops))
-    if ops.Omega is None:
-        del residuals["evenness.omega"]
-    return _report("evenness", residuals, IdentityMismatch)
+    return _report("evenness", _evenness(_stack(ops)), IdentityMismatch)
 
 
 def massless_even_velocity_check(p) -> CheckReport:

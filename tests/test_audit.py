@@ -548,6 +548,10 @@ class TestJsonRendering:
         assert render_json({}) == "{}"
         assert render_json([]) == "[]"
 
+    @pytest.mark.parametrize("value", [True, False, None, 0, -7, 2**70, 'a "quoted" string'])
+    def test_render_json_non_floats_are_json_dumps(self, value):
+        assert render_json(value) == json.dumps(value)
+
     def test_render_json_structure(self):
         text = render_json({"a": [1.0, 2.0], "b": {"c": True}})
         parsed = json.loads(text)

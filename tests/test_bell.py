@@ -596,25 +596,22 @@ class TestScanTableValidation:
                 values=np.zeros((3, 1)),
             )
 
-    def test_unmarked_nan_rejected(self):
-        values = np.array([[0.0], [math.nan]])
-        with pytest.raises(ValueError, match=r"grid point \(1,\) not marked"):
-            ScanTable(
-                axes=("x",), coords=(np.array([0.0, 1.0]),), columns=("y",),
-                values=values,
-            )
-        # The same NaN is fine once its grid point is declared a gap.
-        table = ScanTable(
-            axes=("x",), coords=(np.array([0.0, 1.0]),), columns=("y",),
-            values=values, gaps=((1,),),
-        )
-        assert "degenerate" in table.to_csv()
-        # On a 2-D grid the first unmarked point is named, not a marked one.
+    def test_non_finite_rows_are_gaps(self):
+        # A grid point with NaN or +-inf in any column is a gap, and its
+        # row prints degenerate in every column.
+        values = np.array([[0.0, 1.0], [math.nan, 2.0], [3.0, math.inf], [-math.inf, 4.0]])
+        table = ScanTable(axes=("x",), coords=(np.arange(4.0),), columns=("y", "z"),
+                          values=values)
+        assert table.gaps == ((1,), (2,), (3,))
+        assert table.to_csv() == ("x,y,z\n0.0,0.0,1.0\n1.0,degenerate,degenerate\n"
+                                  "2.0,degenerate,degenerate\n3.0,degenerate,degenerate\n")
         grid = np.zeros((2, 2, 1))
-        grid[0, 1, 0] = grid[1, 0, 0] = grid[1, 1, 0] = math.nan
-        with pytest.raises(ValueError, match=r"grid point \(1, 0\) not marked"):
-            ScanTable(axes=("x", "y"), coords=(np.arange(2.0), np.arange(2.0)), columns=("z",),
-                      values=grid, gaps=((0, 1),))
+        grid[0, 1, 0], grid[1, 0, 0] = math.nan, -math.inf
+        table = ScanTable(axes=("x", "y"), coords=(np.arange(2.0), np.arange(2.0)),
+                          columns=("z",), values=grid)
+        assert table.gaps == ((0, 1), (1, 0))
+        assert table.to_csv() == "x,y,z\n0.0,0.0,0.0\n0.0,1.0,degenerate\n" \
+                                 "1.0,0.0,degenerate\n1.0,1.0,0.0\n"
 
 
 def rowwise_to_csv(table):
@@ -682,10 +679,9 @@ def scan_tables(draw):
     mask = {"none": np.zeros(shape, bool), "all": np.ones(shape, bool),
             "some": rng.random(shape) < 0.3}[kind]
     values[mask] = np.nan
-    gaps = tuple(map(tuple, np.argwhere(mask).tolist()))
     layout = draw(st.sampled_from(["c", "fortran", "strided"]))
     return ScanTable(axes=tuple(f"x{d}" for d in range(len(shape))), coords=coords,
-                     columns=columns, values=with_layout(values, layout), gaps=gaps,
+                     columns=columns, values=with_layout(values, layout),
                      metadata={"seed": seed, "kind": kind, "source": source, "layout": layout})
 
 
@@ -709,10 +705,10 @@ class TestCsvSerialization:
         gaps = tuple((i, 0) for i in range(0, rows, 5))
         values[[i for i, _ in gaps]] = np.nan
         table = ScanTable(axes=("i", "j"), coords=(np.arange(rows), [-0.0]),
-                          columns=("c0", "c1", "c2"), values=with_layout(values, layout),
-                          gaps=gaps)
+                          columns=("c0", "c1", "c2"), values=with_layout(values, layout))
         with mock.patch.object(bell, "_CSV_BLOCK_ROWS", block):
             text = table.to_csv()
+        assert table.gaps == gaps
         assert text == rowwise_to_csv(table)
         assert text.splitlines()[2] == f"1.0,-0.0,-0.0,{float(VALUE_POOL[-2])!r},0.0"
 

@@ -547,6 +547,32 @@ class TestBattery:
         massless = {r.check for r in dirac_battery(np.ones((1, 3)), np.zeros(1), np.eye(3)[:1])}
         assert "precession.omega_commutes_with_hamiltonian" in massless
         assert "hamiltonian_identity.full_space" not in massless
+        # The single checks keep the same records as the battery.
+        def checks(report):
+            return {r.check for r in report.records}
+
+        omega_commutes = "precession.omega_commutes_with_hamiltonian"
+        assert omega_commutes not in checks(precession_check(build_context(np.ones(3), 1.0)))
+        assert omega_commutes in checks(precession_check(build_context(np.ones(3), 0.0)))
+        assert "evenness.omega" not in checks(evenness_check(build_context(np.zeros(3), 1.0)))
+        assert "evenness.omega" in checks(evenness_check(build_context(np.ones(3), 1.0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_ratio=st.floats(-300.0, 12.0), log_m=st.floats(-300.0, 300.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(log_ratio=-150.0, log_m=0.0, seed=0)
+    def test_direction_does_not_depend_on_the_mass(self, log_ratio, log_m, seed):
+        # |p| / m log-uniform in [1e-300, 1e12], m up to 1e300: the motion
+        # direction has the same bits as at m = 0, so the battery's massless
+        # velocity records are those of the massless check of the same p.
+        assume(-300.0 <= log_m + log_ratio < 308.0)
+        rng = np.random.default_rng(seed)
+        p = 10.0 ** (log_m + log_ratio) * random_direction(rng)
+        m = 10.0 ** log_m
+        assert np.array_equal(build_context(p, m).ctx.n, build_context(p, 0.0).ctx.n)
+        records = dirac_battery(p[None], np.array([m]), random_direction(rng)[None])
+        massless = [r for r in records if r.check.startswith("massless_velocity.")]
+        assert massless == list(massless_even_velocity_check(p).records)
 
     def test_validation_names_the_first_bad_trial(self, rng):
         p, m, a = _trials(rng, 12)

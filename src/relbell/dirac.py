@@ -106,10 +106,11 @@ class DiracContext:
 
     In a batch every field gains a leading trial axis. ``n`` is the
     momentum direction, None for a single particle at rest (a zero row
-    in a batch), the same bits at every mass. The operators are built from ``beta = p / p0``,
-    ``speed = |p| / p0`` and ``mu = m / p0``, accurate to rounding at any
-    finite p and m: quotients of ``p_scaled``, ``m_scaled`` and
-    ``p0_scaled``, which are p, m and p0 over a power of two (``_context``).
+    in a batch), the same bits at every mass. The operators are built
+    from ``beta = p / p0``, ``speed = |p| / p0`` and ``mu = m / p0``,
+    accurate to rounding at any finite p and m: quotients of
+    ``p_scaled``, ``m_scaled`` and ``p0_scaled``, which are p, m and p0
+    over a power of two (``_context``).
     """
 
     p: np.ndarray

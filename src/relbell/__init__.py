@@ -41,7 +41,6 @@ from .observables import (
     SpinObservable,
     eprb_closed_form,
     eprb_oracle,
-    helicity_basis,
     singlet_state,
     spin_observable,
 )

@@ -141,14 +141,16 @@ def _certified_sums(block):
     its lower neighbour, the smaller of its two gaps: rounding is
     monotone and h is a power of two, so that proves |S - r| < h.
     Returns (r, doubtful), doubtful marking the rows neither test clears,
-    exact zeros and non-finite sums included.
+    exact zeros and non-finite sums included (so the inf - inf that their
+    TwoSums make is not warned about).
     """
-    s, e1 = _two_sum(block[:, 0], block[:, 1])
-    s, e2 = _two_sum(s, block[:, 2])
-    s, e3 = _two_sum(s, block[:, 3])
-    u, f1 = _two_sum(e1, e2)
-    t, f2 = _two_sum(u, e3)
-    r, d = _two_sum(s, t)
+    with np.errstate(invalid="ignore"):
+        s, e1 = _two_sum(block[:, 0], block[:, 1])
+        s, e2 = _two_sum(s, block[:, 2])
+        s, e3 = _two_sum(s, block[:, 3])
+        u, f1 = _two_sum(e1, e2)
+        t, f2 = _two_sum(u, e3)
+        r, d = _two_sum(s, t)
     # Free the intermediates before the certificate's temporaries, for a
     # lower peak memory.
     del s, e1, e2, e3, u, t

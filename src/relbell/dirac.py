@@ -24,8 +24,8 @@ with a finite energy.
 
 Every identity is computed once, on stacked arrays: ``dirac_battery``
 runs all of them over N trials in one pass, in blocks of ``_BLOCK``
-trials. ``build_context`` and the ``*_check`` functions are the same
-code on a batch of one. Each check returns a :class:`CheckReport`
+trials. ``build_context`` returns a batch of one, which the ``*_check``
+functions hand to the same code. Each check returns a :class:`CheckReport`
 carrying named residuals, each against the fixed tolerance that
 ``_TOL`` gives its name; a check whose residual exceeds tolerance
 raises the matching error with the report attached, so callers can
@@ -102,41 +102,40 @@ _TOL = {
 
 @dataclass(frozen=True, eq=False)
 class DiracContext:
-    """Momentum, mass and derived kinematics of one free particle.
+    """Momentum, mass and derived kinematics of a batch of free particles.
 
-    In a batch every field gains a leading trial axis. ``n`` is the
-    momentum direction, None for a single particle at rest (a zero row
-    in a batch), the same bits at every mass. The operators are built
-    from ``beta = p / p0``, ``speed = |p| / p0`` and ``mu = m / p0``,
+    Every field has a leading trial axis. ``n`` is the momentum direction,
+    a zero row at rest, the same bits at every mass. The operators are
+    built from ``beta = p / p0``, ``speed = |p| / p0`` and ``mu = m / p0``,
     accurate to rounding at any finite p and m: quotients of
     ``p_scaled``, ``m_scaled`` and ``p0_scaled``, which are p, m and p0
     over a power of two (``_context``).
     """
 
     p: np.ndarray
-    m: float
-    p0: float
-    p_mag: float
-    n: np.ndarray | None
+    m: np.ndarray
+    p0: np.ndarray
+    p_mag: np.ndarray
+    n: np.ndarray
     beta: np.ndarray
-    speed: float
-    mu: float
+    speed: np.ndarray
+    mu: np.ndarray
     p_scaled: np.ndarray
-    m_scaled: float
-    p0_scaled: float
+    m_scaled: np.ndarray
+    p0_scaled: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class DiracOperatorSet:
-    """The 4x4 operator family of one free particle, in units of p0.
+    """The 4x4 operator families of a batch of free particles, in units of p0.
 
     H = alpha . beta + mu gamma0 squares to 1, so the spin S = W H^-1 is
-    W H and the energy-sign projectors are (1 +- H) / 2. W, S and Omega
-    are (3, 4, 4) stacks of their components. Omega is the even part of
+    W H and the energy-sign projectors are (1 +- H) / 2. Every field but
+    the spin matrices ``s`` has a leading trial axis; W, S and Omega are
+    (N, 3, 4, 4) stacks of their components. Omega is the even part of
     the precession frequency and Omega_by_beta2 = Omega / beta^2, kept
-    apart because beta^2 underflows for tiny momenta (both None at zero
-    momentum, where no motion axis exists). In a batch every field but
-    ``s`` gains a leading trial axis, and Omega is zero at rest.
+    apart because beta^2 underflows for tiny momenta; both are zero at
+    rest, where no motion axis exists.
     """
 
     ctx: DiracContext
@@ -147,8 +146,8 @@ class DiracOperatorSet:
     W0: np.ndarray
     W: np.ndarray
     S: np.ndarray
-    Omega: np.ndarray | None
-    Omega_by_beta2: np.ndarray | None
+    Omega: np.ndarray
+    Omega_by_beta2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -294,32 +293,16 @@ def _operators(p, m) -> DiracOperatorSet:
 _TRIAL_FIELDS = ("H", "Pi_plus", "Pi_minus", "W0", "W", "S", "Omega", "Omega_by_beta2")
 
 
-def _select(ops: DiracOperatorSet, index) -> DiracOperatorSet:
-    """Trials of a batch picked by a mask, or one trial (an int) as an
-    unbatched set."""
-    ctx = {f.name: getattr(ops.ctx, f.name)[index] for f in fields(DiracContext)}
-    trial = {name: getattr(ops, name)[index] for name in _TRIAL_FIELDS}
-    if isinstance(index, int):
-        ctx = {name: float(value) if np.ndim(value) == 0 else value for name, value in ctx.items()}
-        if ctx["p_mag"] == 0.0:
-            ctx["n"] = trial["Omega"] = trial["Omega_by_beta2"] = None
-    return DiracOperatorSet(ctx=DiracContext(**ctx), s=ops.s, **trial)
-
-
-def _stack(ops: DiracOperatorSet) -> DiracOperatorSet:
-    """The batch of one that holds an unbatched set."""
-    def one(value, zero):
-        return np.asarray(zero if value is None else value)[None]
-
-    ctx = DiracContext(**{f.name: one(getattr(ops.ctx, f.name), np.zeros(3))
-                          for f in fields(DiracContext)})
-    zero = np.zeros((3, 4, 4), dtype=complex)
+def _select(ops: DiracOperatorSet, mask) -> DiracOperatorSet:
+    """The trials of a batch that ``mask`` picks."""
+    ctx = DiracContext(**{f.name: getattr(ops.ctx, f.name)[mask] for f in fields(DiracContext)})
     return DiracOperatorSet(ctx=ctx, s=ops.s,
-                            **{name: one(getattr(ops, name), zero) for name in _TRIAL_FIELDS})
+                            **{name: getattr(ops, name)[mask] for name in _TRIAL_FIELDS})
 
 
 def build_context(p, m: float) -> DiracOperatorSet:
-    """Assemble the operator family for momentum p and mass m >= 0.
+    """Assemble the operator family for momentum p and mass m >= 0, as a
+    batch of one: every field but ``s`` has a leading trial axis of length 1.
 
     Raises NullContext when both vanish. At p = 0 the spin S coincides
     with s exactly; in general S = W H^-1 with W0 = p . s and
@@ -328,13 +311,13 @@ def build_context(p, m: float) -> DiracOperatorSet:
     p = np.asarray(p, dtype=float).reshape(1, 3)
     m = np.array([float(m)])
     _validate(p, m)
-    return _select(_operators(p, m), 0)
+    return _operators(p, m)
 
 
 def projected_spin(ops: DiracOperatorSet, a) -> np.ndarray:
-    """The 4x4 projection a . S."""
+    """The 4x4 projection a . S of the first trial."""
     a = check_unit(a, "analyzer axis")
-    return _dot(a[None], np.asarray(ops.S)[None])[0]
+    return _dot(a[None], ops.S[:1])[0]
 
 
 def _spin_length(ctx, a):
@@ -552,11 +535,11 @@ def spin_spectrum_check(ops: DiracOperatorSet, a) -> CheckReport:
     and beta = p / p0, and a . S must commute with H.
     """
     a = check_unit(a, "analyzer axis")
-    return _report("spin_spectrum", _spin_spectrum(_stack(ops), a[None]), SpectrumMismatch)
+    return _report("spin_spectrum", _spin_spectrum(ops, a[None]), SpectrumMismatch)
 
 
 def _require_massive_moving(ops, what: str) -> None:
-    if ops.ctx.m <= 0.0 or ops.ctx.p_mag == 0.0:
+    if ops.ctx.m[0] <= 0.0 or ops.ctx.p_mag[0] == 0.0:
         raise ValueError(f"{what} needs m > 0 and |p| > 0")
 
 
@@ -578,7 +561,7 @@ def eigenstates(ops: DiracOperatorSet, a):
     """
     a = check_unit(a, "analyzer axis")
     _require_massive_moving(ops, "eigenstate construction")
-    psi_plus, psi_minus = _eigenstates(_stack(ops), a[None])
+    psi_plus, psi_minus = _eigenstates(ops, a[None])
     return psi_plus[0], psi_minus[0]
 
 
@@ -586,13 +569,14 @@ def eigenstate_check(ops: DiracOperatorSet, a) -> CheckReport:
     """Residuals of the constructed eigenstates under H and a . S."""
     a = check_unit(a, "analyzer axis")
     _require_massive_moving(ops, "eigenstate construction")
-    return _report("eigenstate", _eigenstate(_stack(ops), a[None]), EigenstateResidual)
+    return _report("eigenstate", _eigenstate(ops, a[None]), EigenstateResidual)
 
 
 def precession_frequency(ops: DiracOperatorSet) -> np.ndarray:
-    """The matrix-valued precession frequency omega = -2 gamma5 p, (3, 4, 4):
-    p0 times the omega / p0 = -2 gamma5 beta that the checks compare with H."""
-    return _omega(np.asarray(ops.ctx.p))
+    """The matrix-valued precession frequency omega = -2 gamma5 p of the
+    first trial, (3, 4, 4): p0 times the omega / p0 = -2 gamma5 beta that
+    the checks compare with H."""
+    return _omega(ops.ctx.p[0])
 
 
 def precession_check(ops: DiracOperatorSet) -> CheckReport:
@@ -602,7 +586,7 @@ def precession_check(ops: DiracOperatorSet) -> CheckReport:
     precession frequency is then a constant of the motion; that residual
     is reported as a second record in the massless case.
     """
-    return _report("precession", _precession(_stack(ops)), PrecessionMismatch)
+    return _report("precession", _precession(ops), PrecessionMismatch)
 
 
 def hamiltonian_identity_check(ops: DiracOperatorSet) -> CheckReport:
@@ -613,7 +597,7 @@ def hamiltonian_identity_check(ops: DiracOperatorSet) -> CheckReport:
     the evenness of Omega itself. Requires m > 0 and |p| > 0.
     """
     _require_massive_moving(ops, "Hamiltonian identity")
-    return _report("hamiltonian_identity", _hamiltonian_identity(_stack(ops)), IdentityMismatch)
+    return _report("hamiltonian_identity", _hamiltonian_identity(ops), IdentityMismatch)
 
 
 def spin_form_agreement_check(ops: DiracOperatorSet) -> CheckReport:
@@ -624,17 +608,17 @@ def spin_form_agreement_check(ops: DiracOperatorSet) -> CheckReport:
 
         S = (m^2/p0^2) s + (p^2/p0^2)(n . s) n + i m/(2 p0^2) p x gamma.
     """
-    return _report("spin_forms", _spin_forms(_stack(ops)), IdentityMismatch)
+    return _report("spin_forms", _spin_forms(ops), IdentityMismatch)
 
 
 def casimir_check(ops: DiracOperatorSet) -> CheckReport:
     """W0^2 - W . W = -(3/4) m^2, the spin-1/2 invariant: -(3/4) mu^2 over p0^2."""
-    return _report("casimir", _casimir(_stack(ops)), IdentityMismatch)
+    return _report("casimir", _casimir(ops), IdentityMismatch)
 
 
 def evenness_check(ops: DiracOperatorSet) -> CheckReport:
-    """S (and Omega, when defined) must not mix the energy signs."""
-    return _report("evenness", _evenness(_stack(ops)), IdentityMismatch)
+    """S (and Omega, for |p| > 0) must not mix the energy signs."""
+    return _report("evenness", _evenness(ops), IdentityMismatch)
 
 
 def massless_even_velocity_check(p) -> CheckReport:

@@ -23,9 +23,10 @@ ultrarelativistic limit -sign(n.a) sign(n.b).
 Two independent evaluation routes are provided. ``eprb_closed_form``
 computes the expression above from dot products, in ``correlations``, the
 batch kernel that ``bell.chsh_batch`` shares. ``eprb_oracle`` builds the
-observable matrices, the explicit singlet vector and the tensor-product
-expectation value, in ``oracle_correlations``, the batch kernel of the
-matrix oracle; the test suite enforces that the two agree.
+observable matrices and takes their tensor-product expectation value in
+the explicit singlet, one constant state for every beam direction since
+the singlet is rotation invariant, in ``oracle_correlations``, the batch
+kernel of the matrix oracle; the test suite enforces that the two agree.
 """
 
 from __future__ import annotations
@@ -36,11 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateObservable
-from .kinematics import BeamVelocity, alpha_lengths, alpha_vectors, check_unit
-from .linalg import pauli_dot, phase_fixed
+from .kinematics import (BeamVelocity, alpha_lengths, alpha_vectors, check_unit,
+                         lengths_and_directions)
+from .linalg import pauli_dot
 
 #: |alpha| at or below this length counts as a collapsed (degenerate) axis.
 DEGENERACY_THRESHOLD = 1e-12
+
+#: The singlet's amplitudes psi[i, j], i the first and j the second
+#: particle's spin along z: the same state for every quantization axis.
+_SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,31 +54,14 @@ class SpinObservable:
     """A normalized binary spin observable for one detector.
 
     ``matrix`` is the 2x2 involution alpha_hat . sigma with eigenvalues
-    exactly +-1; ``alpha_length`` records the length |alpha(a, beta)| that
-    was divided out.
+    +-1, alpha_hat the direction of alpha(a, beta) from
+    ``lengths_and_directions``; ``alpha_length`` records |alpha(a, beta)|.
     """
 
     axis: np.ndarray
     beta: BeamVelocity
     matrix: np.ndarray
     alpha_length: float
-
-
-def _helicity_bases(direction):
-    """``helicity_basis`` (..., 2, 2), plus then minus, of unit directions (..., 3)."""
-    half = np.arccos(np.clip(direction[..., 2], -1.0, 1.0)) / 2.0
-    ephi = np.exp(1j * np.arctan2(direction[..., 1], direction[..., 0]))
-    plus = np.stack((np.cos(half), np.sin(half) * ephi), axis=-1)
-    minus = np.stack((np.sin(half), -np.cos(half) * ephi), axis=-1)
-    return phase_fixed(np.stack((plus, minus), axis=-2))
-
-
-def _singlets(direction):
-    """``singlet_state`` (..., 2, 2) of unit directions (..., 3), indexed by
-    the first then the second particle's spin."""
-    bases = _helicity_bases(direction)
-    outer = bases[..., 0, :, None] * bases[..., 1, None, :]
-    return (outer - np.swapaxes(outer, -1, -2)) / math.sqrt(2.0)
 
 
 def _lengths(axes, speed, direction):
@@ -87,30 +76,21 @@ def _observables(axes, speed, direction):
     """alpha_hat . sigma (..., K, 2, 2), NaN where degenerate, |alpha| and the
     degenerate mask (..., K) of axes (..., K, 3); the rest as in ``alpha_lengths``."""
     _, length, degenerate = _lengths(axes, speed, direction)
-    hat = alpha_vectors(axes, speed, direction) / np.where(degenerate, math.nan, length)[..., None]
+    hat = lengths_and_directions(alpha_vectors(axes, speed, direction))[1]
+    hat[degenerate] = math.nan
     return pauli_dot(hat), length, degenerate
 
 
-def helicity_basis(n):
-    """Eigenvectors (plus, minus) of n . sigma with eigenvalues +1, -1.
-
-    Each is unit-normalized with its first non-negligible component real
-    positive, which pins the phase everywhere except at isolated basis
-    flips near the poles of that convention.
-    """
-    return tuple(_helicity_bases(check_unit(n, "helicity axis")))
-
-
 def singlet_state(n) -> np.ndarray:
-    """The spin singlet built from the helicity basis along n.
+    """The spin singlet's 4 amplitudes (0, 1, -1, 0)/sqrt(2) in the fixed
+    spin-z product basis (|++>, |+->, |-+>, |-->), for every unit axis n.
 
-    The result is (|+,n>|-,n> - |-,n>|+,n>)/sqrt(2) as its 4 amplitudes
-    in the fixed spin-z product basis (|++>, |+->, |-+>, |-->). Rotation
-    invariance of the singlet makes them (0, 1, -1, 0)/sqrt(2) up to one
-    overall phase for every n; the phase is the determinant of the basis
-    change.
+    The singlet is invariant under every U (x) U with U in SU(2), so the
+    state (|+,n>|-,n> - |-,n>|+,n>)/sqrt(2) built along n is this one up
+    to a phase; n is only checked to be a unit vector.
     """
-    return _singlets(check_unit(n, "helicity axis")).reshape(4)
+    check_unit(n, "helicity axis")
+    return _SINGLET.astype(complex).reshape(4)
 
 
 def spin_observable(a, beta) -> SpinObservable:
@@ -170,13 +150,12 @@ def eprb_closed_form(a, b, beta) -> float:
 def oracle_correlations(left, right, speed, direction):
     """``correlations`` the long way, with its arguments and result, none of
     it validated: <psi| a_hat (x) b_hat |psi> from the observable matrices
-    and the explicit singlet of each beam direction, sharing only the alpha
-    map. Raises ArithmeticError at an imaginary part of 1e-13 or more."""
+    and the one constant singlet psi (real, so psi* = psi), sharing only the
+    alpha map. Raises ArithmeticError at an imaginary part of 1e-13 or more."""
     k = left.shape[-2]
     mats, _, degenerate = _observables(np.concatenate((left, right), axis=-2), speed, direction)
-    psi = _singlets(direction)
-    value = np.einsum("...ik,...aij,...bkl,...jl->...ab",
-                      psi.conj(), mats[..., :k, :, :], mats[..., k:, :, :], psi)
+    value = np.einsum("ik,...aij,...bkl,jl->...ab",
+                      _SINGLET, mats[..., :k, :, :], mats[..., k:, :, :], _SINGLET)
     leak = np.abs(value.imag) >= 1e-13
     if np.count_nonzero(leak):
         raise ArithmeticError(f"correlation developed an imaginary part: {complex(value[leak][0])!r}")

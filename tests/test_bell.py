@@ -357,6 +357,7 @@ class TestRowSums:
         assert len(terms) == 61 * 61
         assert not bell._certified_sums(terms)[1].any()
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_and_huge_terms_go_to_fsum(self):
         rows = np.tile([0.25, -1.0, 3.0, 0.5], (400, 1))
         rows[3] = [math.inf, 1.0, 2.0, 3.0]

@@ -291,9 +291,20 @@ class TestDiracCheck:
     def test_fixed_rest_context(self, capsys):
         code, out, _ = run(capsys, "dirac-check", "--p", "0,0,0", "--m", "1", "--trials", "1")
         assert code == 0
-        names = [r["check"] for r in json.loads(out)]
+        records = json.loads(out)
+        names = [r["check"] for r in records]
         assert "spin_spectrum.eigenvalues" in names
         assert "eigenstate.energy" not in names  # needs |p| > 0
+        assert all(r["pass"] for r in records)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [("--p", "1e6,0,0", "--m", "1", "--trials", "5"),
+                                      ("--trials", "3000", "--seed", "1")])
+    def test_large_ratio_and_several_blocks_pass_without_warning(self, capsys, argv):
+        # |p| / m = 1e6; 3000 random trials span three blocks of 1024.
+        code, out, err = run(capsys, "dirac-check", *argv)
+        assert (code, err) == (0, "")
+        assert all(r["pass"] for r in json.loads(out))
 
     def test_fixed_massless_context(self, capsys):
         code, out, _ = run(capsys, "dirac-check", "--p", "1,1,1", "--m", "0", "--trials", "1")

@@ -80,30 +80,37 @@ class TestGammaMatrices:
 
 class TestBuildContext:
     def test_rest_spin_is_undeformed(self):
+        # A batch of one: trial 0 holds the context, and at rest the motion
+        # direction is a zero row and Omega is zero.
         ops = build_context(np.zeros(3), 1.3)
+        assert ops.H.shape == (1, 4, 4) and ops.S.shape == (1, 3, 4, 4)
         for k in range(3):
-            assert np.array_equal(ops.S[k], SPIN[k])
-        assert ops.Omega is None
-        assert ops.ctx.p0 == 1.3
+            assert np.array_equal(ops.S[0, k], SPIN[k])
+        assert ops.Omega is not None and max_abs(ops.Omega[0]) == 0.0
+        assert ops.Omega_by_beta2 is not None and max_abs(ops.Omega_by_beta2[0]) == 0.0
+        assert np.array_equal(ops.ctx.n, np.zeros((1, 3)))
+        assert ops.ctx.p0.tolist() == [1.3]
 
     def test_energy_and_projectors(self, rng):
         # H is in units of p0, so it squares to 1: it is its own energy sign.
         for _ in range(10):
             ops = random_context(rng)
-            assert max_abs(ops.H @ ops.H - ID4) < 1e-14
-            assert max_abs(ops.Pi_plus @ ops.Pi_plus - ops.Pi_plus) < 1e-14
-            assert max_abs(ops.Pi_plus + ops.Pi_minus - ID4) < 1e-15
-            assert max_abs(ops.Pi_plus @ ops.Pi_minus) < 1e-14
-            assert max_abs(ops.H - dagger(ops.H)) == 0.0
+            H, Pi_plus, Pi_minus = ops.H[0], ops.Pi_plus[0], ops.Pi_minus[0]
+            assert max_abs(H @ H - ID4) < 1e-14
+            assert max_abs(Pi_plus @ Pi_plus - Pi_plus) < 1e-14
+            assert max_abs(Pi_plus + Pi_minus - ID4) < 1e-15
+            assert max_abs(Pi_plus @ Pi_minus) < 1e-14
+            assert max_abs(H - dagger(H)) == 0.0
 
     def test_helicity_is_undistorted(self, rng):
         # p . S == p . s: the longitudinal spin component survives the
         # dressing exactly.
         for _ in range(10):
             ops = random_context(rng)
-            lhs = sum(ops.ctx.p[k] * ops.S[k] for k in range(3))
-            rhs = sum(ops.ctx.p[k] * ops.s[k] for k in range(3))
-            assert max_abs(lhs - rhs) < 1e-13 * max(1.0, ops.ctx.p_mag)
+            p = ops.ctx.p[0]
+            lhs = sum(p[k] * ops.S[0, k] for k in range(3))
+            rhs = sum(p[k] * ops.s[k] for k in range(3))
+            assert max_abs(lhs - rhs) < 1e-13 * max(1.0, ops.ctx.p_mag[0])
 
     def test_rejects_null_context(self):
         with pytest.raises(NullContext):
@@ -133,7 +140,7 @@ class TestSpinSpectrum:
 
     def test_longitudinal_axis_keeps_half(self, rng):
         ops = random_context(rng)
-        n = ops.ctx.n
+        n = ops.ctx.n[0]
         report = spin_spectrum_check(ops, n)
         assert report.passed
         w = np.sort(np.linalg.eigvalsh(projected_spin(ops, n)))
@@ -240,7 +247,8 @@ class TestPrecession:
         # With m > 0 omega has an odd part and does not commute with H.
         ops = build_context(Z, 1.0)
         omega = precession_frequency(ops)
-        assert max(max_abs(o @ ops.H - ops.H @ o) for o in omega) > 0.1
+        H = ops.H[0]
+        assert max(max_abs(o @ H - H @ o) for o in omega) > 0.1
 
     def test_frequency_magnitude_matches_rotator(self, rng):
         # |omega| = 2 |p| for every direction, the spin-1/2 angular
@@ -283,8 +291,8 @@ class TestHamiltonianIdentity:
         # As m -> 0 the full frequency itself rebuilds H: omega . S ~ H.
         ops = build_context(X, 1e-8)
         omega = precession_frequency(ops)
-        rebuilt = sum(omega[k] @ ops.S[k] for k in range(3))
-        assert max_abs(rebuilt - ops.H) < 1e-6
+        rebuilt = sum(omega[k] @ ops.S[0, k] for k in range(3))
+        assert max_abs(rebuilt - ops.H[0]) < 1e-6
 
 
 class TestSpinForms:

@@ -18,7 +18,6 @@ from relbell.observables import (
     correlations,
     eprb_closed_form,
     eprb_oracle,
-    helicity_basis,
     oracle_correlations,
     singlet_state,
     spin_observable,
@@ -48,36 +47,6 @@ def rotation_about(axis, angle):
     ) * np.outer(k, k)
 
 
-class TestHelicityBasis:
-    def test_z_axis(self):
-        plus, minus = helicity_basis(Z)
-        assert_allclose(plus, [1.0, 0.0], atol=1e-15)
-        assert_allclose(minus, [0.0, 1.0], atol=1e-15)
-
-    def test_x_axis(self):
-        plus, minus = helicity_basis(X)
-        s = math.sqrt(0.5)
-        assert_allclose(plus, [s, s], atol=1e-15)
-        assert_allclose(minus, [s, -s], atol=1e-15)
-
-    def test_eigenvector_property(self, rng):
-        for _ in range(50):
-            n = random_direction(rng)
-            plus, minus = helicity_basis(n)
-            h = pauli_dot(n)
-            assert max_abs(h @ plus - plus) < 1e-12
-            assert max_abs(h @ minus + minus) < 1e-12
-            assert abs(np.vdot(plus, minus)) < 1e-12
-            assert abs(np.linalg.norm(plus) - 1.0) < 1e-12
-            assert abs(np.linalg.norm(minus) - 1.0) < 1e-12
-
-    def test_antipodal_axis(self):
-        plus, minus = helicity_basis(-Z)
-        h = pauli_dot(-Z)
-        assert max_abs(h @ plus - plus) < 1e-12
-        assert max_abs(h @ minus + minus) < 1e-12
-
-
 def total_helicity_residual(n) -> float:
     """Max-norm of (n.sigma x 1 + 1 x n.sigma) applied to the singlet.
 
@@ -96,14 +65,18 @@ class TestSingletState:
         assert_allclose(psi, [0.0, s, -s, 0.0], atol=1e-15)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
 
-    def test_rotation_invariance_up_to_phase(self, rng):
-        # The singlet is the same ray for every construction axis.
+    def test_invariant_under_every_su2_rotation(self, rng):
+        # U (x) U leaves the singlet unchanged, phase included, for every
+        # U = cos(theta/2) 1 - i sin(theta/2) r . sigma; every axis n gives
+        # the same amplitudes.
         reference = singlet_state(Z)
-        for _ in range(20):
+        for _ in range(50):
             n = random_direction(rng)
             psi = singlet_state(n)
-            assert abs(abs(np.vdot(reference, psi)) - 1.0) < 1e-12
-            assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+            assert np.array_equal(psi, reference)
+            half = rng.uniform(0.0, 2.0 * math.pi) / 2.0
+            u = math.cos(half) * ID2 - 1j * math.sin(half) * pauli_dot(random_direction(rng))
+            assert max_abs(kron(u, u) @ psi - psi) < 1e-15
 
     def test_zero_total_helicity(self, rng):
         assert total_helicity_residual(Z) < 1e-14
@@ -140,6 +113,16 @@ class TestSpinObservable:
             spin_observable([1, 0, 0], [0, 1, 0])
         assert str(excinfo.value) == ("axis (1.0, 0.0, 0.0) is orthogonal to a light-speed beam; "
                                       "|alpha| = 0.0")
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+    def test_unit_spectrum_near_light_speed(self, gap):
+        # Axes ~1e-7 off orthogonal to the motion at 1 - |beta| = gap: alpha_hat
+        # is a unit vector to rounding, so the matrix has eigenvalues +-1.
+        beta = (1.0 - gap) * Z
+        eps = np.finfo(float).eps
+        for a in (unit([1.0, 0.0, 1e-7]), unit([0.6, -0.8, -3e-7])):
+            w = np.linalg.eigvalsh(spin_observable(a, beta).matrix)
+            assert np.max(np.abs(np.abs(w) - 1.0)) <= 4.0 * eps, (gap, a)
 
     def test_records_alpha_length(self):
         obs = spin_observable(X, np.array([0.0, 0.0, 0.8]))
@@ -322,6 +305,12 @@ class TestOracleAgreement:
             beta = 0.9999 * random_direction(rng)
             diff = abs(eprb_oracle(a, b, beta) - eprb_closed_form(a, b, beta))
             assert diff < 1e-11
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9])
+    def test_matches_closed_form_off_orthogonal_near_light_speed(self, gap):
+        beta = (1.0 - gap) * Z
+        a, b = unit([1.0, 0.0, 1e-7]), unit([0.6, -0.8, -3e-7])
+        assert abs(eprb_oracle(a, b, beta) - eprb_closed_form(a, b, beta)) <= 1e-13
 
     def test_degenerate_axis_raises(self):
         with pytest.raises(DegenerateObservable):

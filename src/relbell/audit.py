@@ -257,25 +257,27 @@ class AuditReport:
         beta_x, beta_y, beta_z, weights, values = self.columns.tolist()
         return tuple(zip(zip(beta_x, beta_y, beta_z), weights, values))
 
-    def to_json_dict(self) -> dict:
-        return self._document([
-            {
-                "beta_x": beta[0], "beta_y": beta[1], "beta_z": beta[2],
-                "weight": weight, "chsh": value,
-            }
-            for beta, weight, value in self.samples
-        ])
-
     def to_json(self) -> str:
-        """``render_json(self.to_json_dict())`` and a newline, byte for
-        byte: the pieces of ``json_pieces`` joined."""
+        """The report as JSON, the pieces of ``json_pieces`` joined."""
         return "".join(self.json_pieces())
 
     def json_pieces(self):
         """The text of ``to_json`` in pieces: ``render_json`` of the report
         with an empty sample list, filled a piece of ``_JSON_BLOCK_SAMPLES``
         samples at a time (``_samples_json``)."""
-        text = render_json(self._document([])) + "\n"
+        text = render_json({
+            "expected_chsh": self.expected_chsh,
+            "ideal_chsh": self.ideal_chsh,
+            "degradation": self.degradation,
+            "alarm_threshold": self.alarm_threshold,
+            "verdict": self.verdict,
+            "samples": [],
+            "metadata": {
+                "threshold_semantics":
+                    "alarm_threshold is an operator-chosen margin on |expected_chsh|,"
+                    " not a physical constant",
+            },
+        }) + "\n"
         count = self.columns.shape[1]
         if not count:
             yield text
@@ -286,21 +288,6 @@ class AuditReport:
             yield ((_SAMPLE_SEP if start else "")
                    + _samples_json(self.columns[:, start:start + _JSON_BLOCK_SAMPLES]))
         yield "\n  ]" + tail
-
-    def _document(self, samples) -> dict:
-        return {
-            "expected_chsh": self.expected_chsh,
-            "ideal_chsh": self.ideal_chsh,
-            "degradation": self.degradation,
-            "alarm_threshold": self.alarm_threshold,
-            "verdict": self.verdict,
-            "samples": samples,
-            "metadata": {
-                "threshold_semantics":
-                    "alarm_threshold is an operator-chosen margin on |expected_chsh|,"
-                    " not a physical constant",
-            },
-        }
 
 
 # One audit sample as render_json lays it out in a report, an item of the

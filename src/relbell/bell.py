@@ -11,8 +11,9 @@ For a moving pair the bound survives only when every axis stays
 orthogonal to the motion; otherwise the deformation of the analyzer axes
 suppresses |c|, and an apparatus calibrated at rest will underreport the
 correlation. ``chsh_batch`` evaluates the combination over whole
-batches of velocities; ``chsh_value`` and the scan helpers, which
-tabulate the suppression over velocity grids, run through it.
+batches of velocities, and the scan helpers, which tabulate the
+suppression over velocity grids, run through it; ``chsh_value`` takes
+one velocity in Python floats.
 Since E(a, b, beta) = -alpha_hat(a) . alpha_hat(b) with a map alpha_hat
 that is invertible below light speed, the best settings at a fixed
 velocity have a closed form: ``calibrated_settings`` computes them and
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateObservable, EmptyGrid
-from .kinematics import BeamVelocity, alpha_vectors, check_unit, lengths_and_directions
-from .observables import correlations
+from .kinematics import BeamVelocity, alpha_vectors, check_unit, is_unit, lengths_and_directions
+from .observables import correlations, velocity_correlations
 
 # Correctly rounded 1/sqrt(2); 1.0/math.sqrt(2.0) is one ulp low and the
 # rest-frame CHSH combination would then miss -2*sqrt(2) by an ulp too.
@@ -63,12 +64,7 @@ class ChshSettings:
 
     @classmethod
     def of(cls, a, a_prime, b, b_prime) -> "ChshSettings":
-        return cls(
-            a=check_unit(a, "a"),
-            a_prime=check_unit(a_prime, "a_prime"),
-            b=check_unit(b, "b"),
-            b_prime=check_unit(b_prime, "b_prime"),
-        )
+        return cls(*map(check_unit, (a, a_prime, b, b_prime), _LABELS))
 
     @property
     def axes(self) -> np.ndarray:
@@ -113,11 +109,6 @@ def chsh_batch(axes, speed, direction):
     if not (speed.min(initial=0.0) >= 0.0 and speed.max(initial=0.0) <= 1.0):
         bad = speed[~((speed >= 0.0) & (speed <= 1.0))].flat[0]
         raise ValueError(f"speed must be finite and lie in [0, 1], got {float(bad)!r}")
-    return _chsh(axes, speed, direction)
-
-
-def _chsh(axes, speed, direction):
-    """chsh_batch without the validation, for inputs already checked."""
     terms, degenerate = correlations(axes[..., :2, :], axes[..., 2:, :], speed, direction)
     terms[..., 1, 1] *= -1.0  # the sign of E(a', b')
     return _row_sums(terms.reshape(-1, 4)).reshape(terms.shape[:-2]), degenerate
@@ -180,18 +171,21 @@ def _row_sums(flat):
 
 
 def chsh_value(settings: ChshSettings, beta) -> float:
-    """The CHSH combination at velocity beta, through ``chsh_batch``.
+    """The CHSH combination at velocity beta: ``chsh_batch`` of one velocity
+    to the bit, the math.fsum of its ``velocity_correlations`` terms.
 
     Raises DegenerateObservable naming the first collapsed setting when
     |beta| = 1 makes an axis degenerate.
     """
     bv = BeamVelocity.of(beta)
-    axes = check_unit(settings.axes, "setting", _LABELS)
-    value, degenerate = _chsh(axes, bv.magnitude, bv.direction)
-    if np.count_nonzero(degenerate):
-        label = _LABELS[int(np.argmax(degenerate))]
+    axes = [x.tolist() for x in (settings.a, settings.a_prime, settings.b, settings.b_prime)]
+    if not all(map(is_unit, axes)):
+        check_unit(settings.axes, "setting", _LABELS)
+    terms, degenerate = velocity_correlations(axes[:2], axes[2:], bv)
+    if terms is None:
+        label = _LABELS[degenerate.index(True)]
         raise DegenerateObservable(f"setting {label} degenerate at |beta| = {bv.magnitude!r}")
-    return float(value)
+    return math.fsum((*terms[0], terms[1][0], -terms[1][1]))  # the sign of E(a', b')
 
 
 @dataclass(frozen=True, eq=False)

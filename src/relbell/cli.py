@@ -114,11 +114,17 @@ def _emit(text, out) -> None:
     if out is None:
         sys.stdout.writelines(pieces)
         return
+    # Every output is ASCII: its bytes are a text-mode write's. os.write may write part.
     path = Path(out)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(pieces)
+        try:
+            for piece in pieces:
+                data = memoryview(piece.encode())
+                while data:
+                    data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -142,8 +148,7 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    table = proper_time_comparison(np.linspace(0.0, 1.0, args.grid))
-    _emit(table.to_csv(), args.out)
+    _emit(proper_time_comparison(np.linspace(0.0, 1.0, args.grid)).to_csv(), args.out)
     return 0
 
 
@@ -175,8 +180,7 @@ def _cmd_dirac_check(args) -> int:
         a[k] = random_direction(rng)
     records = [*dirac_battery(p, m, a), *kinetic_records()]
     records.sort(key=lambda r: r.check)
-    text = render_json([r.as_dict() for r in records]) + "\n"
-    _emit(text, args.out)
+    _emit(render_json([r.as_dict() for r in records]) + "\n", args.out)
     return 0 if all(r.passed for r in records) else 2
 
 

@@ -56,10 +56,12 @@ def check_unit(v, name: str = "direction", labels=None) -> np.ndarray:
     batch axis, or by ``(labels i)`` at the end when ``labels`` is a str."""
     v = np.asarray(v, dtype=float)
     v = v.reshape(3) if labels is None else v
+    if labels is None and is_unit(v.tolist()):
+        return v
     if v.shape[-1:] != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
     length = speeds(v)
-    unit = np.abs(length - 1.0) <= 1e-12
+    unit = _near_one(length)
     if np.count_nonzero(unit) < unit.size:
         idx = tuple(np.argwhere(~unit)[0].tolist())
         text = f"must be a unit vector, got |v| = {float(length[idx])!r}"
@@ -69,6 +71,26 @@ def check_unit(v, name: str = "direction", labels=None) -> np.ndarray:
             name = f"{name} {labels[idx[-1]]}"
         raise ValueError(f"{name} {text}")
     return v
+
+
+def is_unit(v) -> bool:
+    """Whether three Python floats pass ``check_unit``, by their ``dot`` length."""
+    return _near_one(math.sqrt(dot(v, v)))
+
+
+def _near_one(length):
+    return abs(length - 1.0) <= 1e-12
+
+
+def dot(u, v):
+    """u . v of components u[0..2], v[0..2]: Python floats, or arrays from
+    ``components`` that broadcast; in the order numpy's einsum adds 3 terms."""
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+
+
+def components(v):
+    """The three components of a (..., 3) array as (...) views, for ``dot``."""
+    return v[..., 0], v[..., 1], v[..., 2]
 
 
 def speeds(betas) -> np.ndarray:
@@ -82,13 +104,20 @@ def lengths_and_directions(v):
     """|v| and v / |v| for each row of a (..., 3) array: the one length and
     direction of a real 3-vector, velocity or axis.
 
-    A row's length is the square root of its einsum sum of squares, which
-    does not depend on the other rows. A row whose sum of squares loses
-    bits to underflow or overflows (zero, tiny, huge or non-finite) is
-    divided by its largest component first: its direction is then a unit
-    vector to rounding, and its length finite up to about 1e308. A zero
-    row gets direction 0; a non-finite row is its own direction.
+    A row's length is the square root of its ``dot`` with itself, which
+    does not depend on the other rows (one (3,) vector takes Python floats).
+    A row whose sum of squares loses bits to underflow or overflows (zero,
+    tiny, huge or non-finite) is divided by its largest component first:
+    its direction is then a unit vector to rounding, and its length finite
+    up to about 1e308. A zero row gets direction 0; a non-finite row is its
+    own direction.
     """
+    v = np.asarray(v, dtype=float)
+    if v.shape == (3,):
+        c = v.tolist()
+        length = math.sqrt(dot(c, c))
+        if _LENGTH_MIN <= length <= _LENGTH_MAX:
+            return np.float64(length), v / length
     length, v, divisor = _scaled_lengths(v)
     return length, v / divisor[..., None]
 
@@ -103,7 +132,8 @@ def _scaled_lengths(v):
     """The lengths, and the rows and divisors whose quotients are the
     directions, of ``lengths_and_directions``."""
     v = np.asarray(v, dtype=float)
-    length = np.sqrt(np.einsum("...j,...j->...", v, v))
+    with np.errstate(over="ignore"):
+        length = np.sqrt(dot(components(v), components(v)))
     inside = (length >= _LENGTH_MIN) & (length <= _LENGTH_MAX)
     if np.count_nonzero(inside) == inside.size:
         return length, v, length
@@ -111,7 +141,7 @@ def _scaled_lengths(v):
     big = np.max(np.abs(v), axis=-1)
     scale = np.where(~inside & (big > 0.0) & (big < math.inf), big, 1.0)
     v = v / scale[..., None]
-    length = np.sqrt(np.einsum("...j,...j->...", v, v))
+    length = np.sqrt(dot(components(v), components(v)))
     with np.errstate(over="ignore"):
         return scale * length, v, np.where((length > 0.0) & (length < math.inf), length, 1.0)
 
@@ -174,20 +204,24 @@ def alpha_vectors(axes, speed, direction):
 
 
 def alpha_lengths(axes, speed, direction):
-    """n.a and |alpha(a, beta)|^2 = (1 - beta^2) + beta^2 (n.a)^2, (..., K),
-    for the axes a (..., K, 3) at speeds |beta| (...) along the unit
-    directions n (..., 3). The terms are non-negative, so nothing cancels:
-    at |beta| = 1 the length is |n.a| to full relative precision."""
-    n_dot = np.einsum("...j,...kj->...k", direction, axes)
-    b2 = np.multiply(speed, speed)[..., None]
-    return n_dot, (1.0 - b2) + b2 * (n_dot * n_dot)
+    """n.a and ``alpha_length2`` (..., K) of the axes a (..., K, 3) at speeds
+    |beta| (...) along the unit directions n (..., 3)."""
+    n_dot = dot(components(np.asarray(direction)[..., None, :]), components(axes))
+    return n_dot, alpha_length2(n_dot, np.asarray(speed)[..., None])
+
+
+def alpha_length2(n_dot, speed):
+    """|alpha(a, beta)|^2 = (1 - beta^2) + beta^2 (n.a)^2, floats or arrays: no
+    term cancels, so at |beta| = 1 it is (n.a)^2 to full relative precision."""
+    b2 = speed * speed
+    return (1.0 - b2) + b2 * (n_dot * n_dot)
 
 
 def alpha_norm(a, beta) -> float:
     """|alpha(a, beta)|, the square root of its ``alpha_lengths`` entry."""
     a = check_unit(a, "analyzer axis")
     bv = BeamVelocity.of(beta)
-    return math.sqrt(alpha_lengths(a[None], bv.magnitude, bv.direction)[1][0])
+    return math.sqrt(alpha_length2(dot(bv.direction.tolist(), a.tolist()), bv.magnitude))
 
 
 def spin_eigenvalues(a, beta, j: float = 0.5) -> np.ndarray:

@@ -20,9 +20,10 @@ form
 which interpolates between the rest-frame value -a . b and the
 ultrarelativistic limit -sign(n.a) sign(n.b).
 
-Two independent evaluation routes are provided. ``eprb_closed_form``
-computes the expression above from dot products, in ``correlations``, the
-batch kernel that ``bell.chsh_batch`` shares. ``eprb_oracle`` builds the
+Two independent evaluation routes are provided. The closed form is one
+formula of ``kinematics.dot`` products, ``correlation``, over arrays in
+``correlations``, the kernel of ``bell.chsh_batch``, and over Python
+floats in ``velocity_correlations``, for one velocity. ``eprb_oracle`` builds the
 observable matrices and takes their tensor-product expectation value in
 the explicit singlet, one constant state for every beam direction since
 the singlet is rotation invariant, in ``oracle_correlations``, the batch
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateObservable
-from .kinematics import (BeamVelocity, alpha_lengths, alpha_vectors, check_unit,
-                         lengths_and_directions)
+from .kinematics import (BeamVelocity, alpha_length2, alpha_lengths, alpha_vectors, check_unit,
+                         components, dot, lengths_and_directions)
 from .linalg import pauli_dot
 
 #: |alpha| at or below this length counts as a collapsed (degenerate) axis.
@@ -69,7 +70,11 @@ def _lengths(axes, speed, direction):
     of axes (..., K, 3), as in ``alpha_lengths``: both routes' one degeneracy test."""
     n_dot, len2 = alpha_lengths(axes, speed, direction)
     length = np.sqrt(len2)
-    return n_dot, length, length <= DEGENERACY_THRESHOLD
+    return n_dot, length, _degenerate(length)
+
+
+def _degenerate(length):
+    return length <= DEGENERACY_THRESHOLD
 
 
 def _observables(axes, speed, direction):
@@ -109,42 +114,58 @@ def spin_observable(a, beta) -> SpinObservable:
     return SpinObservable(axis=a, beta=bv, matrix=matrix[0], alpha_length=float(length[0]))
 
 
+def correlation(ab, na, nb, length_a, length_b, speed):
+    """E = -alpha(a) . alpha(b) / (|alpha(a)| |alpha(b)|) from a.b, n.a, n.b,
+    the |alpha| and |beta|, floats or arrays; alpha(a) . alpha(b) = (1 - beta^2)
+    a.b + beta^2 (n.a)(n.b) is exact at rest and at light speed."""
+    b2 = speed * speed
+    return -(b2 * (na * nb) + (1.0 - b2) * ab) / (length_a * length_b)
+
+
 def correlations(left, right, speed, direction):
     """E(a, b, beta) (..., L, R) for every a in ``left`` (..., L, 3) and b in
     ``right`` (..., R, 3), which share a batch shape; speed and direction
     as in ``alpha_lengths``, none of it validated. ``degenerate`` (..., L +
     R) marks the axes, left then right, with |alpha| <= DEGENERACY_THRESHOLD,
-    and E is NaN there. The one kernel of every closed-form correlation."""
+    and E is NaN there. ``correlation`` over arrays."""
     k = left.shape[-2]
     n_dot, length, degenerate = _lengths(np.concatenate((left, right), axis=-2), speed, direction)
     length[degenerate] = math.nan
-    b2 = np.multiply(speed, speed)[..., None, None]
-    # alpha(a) . alpha(b) = (1 - beta^2) a . b + beta^2 (n.a)(n.b), exact at
-    # rest and at light speed, built in place for a low peak memory, and
-    # negated before the division, which keeps the NaN of a degenerate axis.
-    corr = b2 * (n_dot[..., :k, None] * n_dot[..., None, k:])
-    corr += (1.0 - b2) * np.einsum("...ij,...kj->...ik", left, right)
-    np.negative(corr, out=corr)
-    corr /= length[..., :k, None] * length[..., None, k:]
+    ab = dot(components(left[..., :, None, :]), components(right[..., None, :, :]))
+    corr = correlation(ab, n_dot[..., :k, None], n_dot[..., None, k:], length[..., :k, None],
+                       length[..., None, k:], np.asarray(speed)[..., None, None])
     return corr, degenerate
+
+
+def velocity_correlations(left, right, bv: BeamVelocity):
+    """``correlations`` at the velocity ``bv`` in Python floats, to the bit,
+    the axes lists of 3 floats; E is None where an axis is degenerate."""
+    axes, direction, speed = left + right, bv.direction.tolist(), bv.magnitude
+    n_dot = [dot(direction, a) for a in axes]
+    length = [math.sqrt(alpha_length2(x, speed)) for x in n_dot]
+    degenerate = [_degenerate(x) for x in length]
+    if True in degenerate:
+        return None, degenerate
+    return [[correlation(dot(a, b), n_dot[i], n_dot[j], length[i], length[j], speed)
+             for j, b in enumerate(right, len(left))] for i, a in enumerate(left)], degenerate
 
 
 def eprb_closed_form(a, b, beta) -> float:
     """Singlet correlation of the two normalized projections, closed form.
 
-    One pair through ``correlations``; no matrices are built. The value
-    lies in [-1, 1], reduces to -a . b at rest, and flips sign under
+    One pair through ``velocity_correlations``; no matrices are built. The
+    value lies in [-1, 1], reduces to -a . b at rest, and flips sign under
     reversal of either analyzer axis.
     """
     a = check_unit(a, "analyzer axis a")
     b = check_unit(b, "analyzer axis b")
     bv = BeamVelocity.of(beta)
-    value, degenerate = correlations(a[None], b[None], bv.magnitude, bv.direction)
-    if np.count_nonzero(degenerate):
+    value, degenerate = velocity_correlations([a.tolist()], [b.tolist()], bv)
+    if value is None:
         name, axis = ("a", a) if degenerate[0] else ("b", b)
         raise DegenerateObservable(f"axis {name} = {tuple(axis.tolist())} degenerate at "
                                    f"|beta| = {bv.magnitude!r}")
-    return float(value[0, 0])
+    return value[0][0]
 
 
 def oracle_correlations(left, right, speed, direction):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from relbell.kinematics import random_direction
 
@@ -12,6 +13,12 @@ def unit(v):
 def random_beta(rng, max_mag=0.999):
     """Velocity with uniform speed in [0, max_mag] and uniform direction."""
     return rng.uniform(0.0, max_mag) * random_direction(rng)
+
+
+#: Speeds at rest, uniform below 1, with 1 - |beta| from 1e-15 to 1e-1,
+#: and at light speed.
+speed_draws = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                        st.floats(-15.0, -1.0).map(lambda e: 1.0 - 10.0**e), st.just(1.0))
 
 
 def plain_csv(rng, count):

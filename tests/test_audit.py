@@ -570,10 +570,10 @@ class TestJsonRendering:
         assert report.samples == tuple(
             (tuple(float(x) for x in dist.betas[k]), float(dist.weights[k]), float(values[k]))
             for k in range(len(dist)))
-        doc = report.to_json_dict()
+        doc = reference_document(report)
         doc["nested"] = [[1, True, None, "s"], {"k": (), "z": {}}, np.float64(0.1)]
         assert render_json(doc) == recursive_render_json(doc)
-        assert report.to_json() == recursive_render_json(report.to_json_dict()) + "\n"
+        assert report.to_json() == recursive_render_json(reference_document(report)) + "\n"
 
     @pytest.mark.parametrize("block", [1, 7, 4096])
     def test_report_bytes_match_across_sample_blocks(self, block):
@@ -582,7 +582,7 @@ class TestJsonRendering:
         report = audit(VelocityDistribution.from_samples(betas, rng.uniform(0.1, 1.0, size=50)),
                        STANDARD_SETTINGS)
         with mock.patch.object(audit_module, "_JSON_BLOCK_SAMPLES", block):
-            assert report.to_json() == recursive_render_json(report.to_json_dict()) + "\n"
+            assert report.to_json() == recursive_render_json(reference_document(report)) + "\n"
 
 
     @pytest.mark.parametrize("crossover", [1, audit_module._KERNEL_MIN_SAMPLES, 4096])
@@ -603,7 +603,7 @@ class TestJsonRendering:
         report = audit(dist, STANDARD_SETTINGS)
         with mock.patch.object(audit_module, "_JSON_BLOCK_SAMPLES", block), \
                 mock.patch.object(audit_module, "_KERNEL_MIN_SAMPLES", crossover):
-            assert report.to_json() == recursive_render_json(report.to_json_dict()) + "\n"
+            assert report.to_json() == recursive_render_json(reference_document(report)) + "\n"
 
 
 def g17(values):
@@ -660,6 +660,22 @@ class TestFormat17g:
     def test_beyond_the_table_and_non_finite_values(self):
         values = [1e300, -1e-300, math.nan, math.inf, -math.inf, 1.7976931348623157e308]
         assert g17(values) == ["%.17g" % v for v in values]
+
+
+def reference_document(report):
+    """The document a report renders, built from its fields and samples."""
+    return {
+        "expected_chsh": report.expected_chsh,
+        "ideal_chsh": report.ideal_chsh,
+        "degradation": report.degradation,
+        "alarm_threshold": report.alarm_threshold,
+        "verdict": report.verdict,
+        "samples": [{"beta_x": beta[0], "beta_y": beta[1], "beta_z": beta[2],
+                     "weight": weight, "chsh": value}
+                    for beta, weight, value in report.samples],
+        "metadata": {"threshold_semantics": "alarm_threshold is an operator-chosen margin on "
+                                            "|expected_chsh|, not a physical constant"},
+    }
 
 
 def recursive_render_json(obj, indent=0):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_direction, unit
+from conftest import random_direction, speed_draws, unit
 from relbell.bell import (
     STANDARD_SETTINGS,
     ChshSettings,
@@ -26,7 +26,8 @@ from relbell.bell import (
 from relbell.errors import DegenerateObservable, EmptyGrid
 from relbell import bell
 from relbell.kinematics import BeamVelocity, alpha_norm
-from relbell.observables import DEGENERACY_THRESHOLD, eprb_closed_form, eprb_oracle
+from relbell.observables import (DEGENERACY_THRESHOLD, correlations, eprb_closed_form,
+                                 eprb_oracle)
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)  # 2.8284271247461903
 
@@ -478,6 +479,54 @@ class TestOneKernel:
             assert np.array_equal(degenerate, want_degenerate)
             gaps += int(np.isnan(values).sum())
         assert gaps > 0
+
+
+class TestFloatPathIsTheBatchKernel:
+    """chsh_value and eprb_closed_form take one velocity in Python floats
+    through the dot product and formula of the batch kernel: the same bits,
+    and the same first degenerate axis. Each draw has a motion direction,
+    four axes, and a set of them turned orthogonal to the motion, which
+    degenerate at light speed."""
+
+    @staticmethod
+    def draw(speed, seed, orthogonal):
+        rng = np.random.default_rng(seed)
+        direction = random_direction(rng)
+        axes = np.array([random_direction(rng) for _ in range(4)])
+        for j in orthogonal:
+            axes[j] = unit(np.cross(direction, axes[j]))
+        return axes, BeamVelocity(beta=speed * direction, magnitude=speed, direction=direction)
+
+    @settings(max_examples=300, deadline=None)
+    @given(speed=speed_draws, seed=st.integers(0, 2**32 - 1),
+           orthogonal=st.sets(st.integers(0, 3)))
+    def test_chsh_value(self, speed, seed, orthogonal):
+        axes, bv = self.draw(speed, seed, orthogonal)
+        value, degenerate = chsh_batch(axes, speed, bv.direction)
+        if degenerate.any():
+            label = bell._LABELS[int(np.argmax(degenerate))]
+            with pytest.raises(DegenerateObservable) as info:
+                chsh_value(ChshSettings(*axes), bv)
+            assert str(info.value) == f"setting {label} degenerate at |beta| = {speed!r}"
+            assert math.isnan(value)
+        else:
+            assert chsh_value(ChshSettings(*axes), bv).hex() == float(value).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(speed=speed_draws, seed=st.integers(0, 2**32 - 1),
+           orthogonal=st.sets(st.integers(0, 3)))
+    def test_eprb_closed_form(self, speed, seed, orthogonal):
+        axes, bv = self.draw(speed, seed, orthogonal)
+        for a in axes[:2]:
+            for b in axes[2:]:
+                value, degenerate = correlations(a[None], b[None], speed, bv.direction)
+                if degenerate.any():
+                    name = "ab"[int(np.argmax(degenerate))]
+                    with pytest.raises(DegenerateObservable, match=f"^axis {name} = "):
+                        eprb_closed_form(a, b, bv)
+                    assert math.isnan(value[0, 0])
+                else:
+                    assert eprb_closed_form(a, b, bv).hex() == float(value[0, 0]).hex()
 
 
 class TestScanBetaPhi:

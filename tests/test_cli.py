@@ -12,6 +12,7 @@ import pytest
 
 import relbell.audit as audit_module
 from conftest import plain_csv
+from golden.update import CI_BETA
 from relbell import cli, dirac
 from relbell.bell import STANDARD_SETTINGS, chsh_value
 from relbell.cli import main
@@ -127,6 +128,16 @@ class TestChsh:
         assert (code, out) == (1, "")
         assert err.endswith("error: argument --beta: superluminal velocity |beta| = 1e+200 > 1\n")
         assert "Warning" not in err
+
+    def test_ci_velocity_agrees_with_a_one_sample_audit(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "chsh", f"--beta={CI_BETA}")
+        assert (code, out) == (0, "-2.4814623204103285\n")
+        dist = tmp_path / "one.csv"
+        dist.write_text(f"beta_x,beta_y,beta_z,weight\n{CI_BETA},1\n")
+        # |chsh| = 2.48 is below the default threshold 2.7: exit code 3.
+        code, out, _ = run(capsys, "crypto-audit", "--dist", str(dist))
+        assert code == 3
+        assert '  "expected_chsh": -2.4814623204103285,' in out.splitlines()
 
     def test_custom_settings(self, capsys):
         s = "0.7071067811865476"
@@ -514,6 +525,48 @@ class TestCryptoAudit:
         code, out, _ = run(capsys, "crypto-audit", "--dist", str(dist), "--out", str(target))
         assert code == 0
         assert json.loads(target.read_text())["verdict"] == "NoAlarm"
+
+
+class TestOutFile:
+    """--out PATH writes stdout's bytes to a mkstemp file (mode 0600) beside
+    PATH and renames it over PATH."""
+
+    @pytest.mark.parametrize("argv", [["chsh", f"--beta={CI_BETA}"], ["fig3", "--grid", "5"],
+                                      ["crypto-audit", "--dist", "{dist}"]])
+    def test_holds_the_stdout_bytes_alone(self, capsys, monkeypatch, tmp_path, argv):
+        # The 10-sample audit report is written in five pieces.
+        monkeypatch.setattr(audit_module, "_JSON_BLOCK_SAMPLES", 4)
+        dist = tmp_path / "dist.csv"
+        dist.write_text(plain_csv(np.random.default_rng(10), 10))
+        argv = [arg.replace("{dist}", str(dist)) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        target = tmp_path / "out" / "result"
+        target.parent.mkdir()
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+        assert target.read_bytes() == out.encode()
+        assert os.listdir(target.parent) == ["result"]
+        assert os.stat(target).st_mode & 0o777 == 0o600
+
+    def test_partial_writes_are_completed(self, capsys, monkeypatch, tmp_path):
+        code, out, _ = run(capsys, "fig3", "--grid", "5")
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+        target = tmp_path / "fig3.csv"
+        assert run(capsys, "fig3", "--grid", "5", "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == out.encode()
+
+    def test_a_failing_piece_leaves_the_target_alone(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old report\n")
+
+        def pieces():
+            yield "first piece\n"
+            raise RuntimeError("no second piece")
+
+        with pytest.raises(RuntimeError, match="no second piece"):
+            cli._emit(pieces(), str(target))
+        assert target.read_bytes() == b"old report\n"
+        assert os.listdir(tmp_path) == ["report.json"]
 
 
 class TestSelftest:

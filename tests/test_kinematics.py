@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_beta, random_direction, unit
+from conftest import random_beta, random_direction, speed_draws, unit
 from relbell.errors import GammaInconsistent
 from relbell.kinematics import (
     BeamVelocity,
@@ -121,6 +121,34 @@ class TestLengthsAndDirections:
             length, direction = lengths_and_directions(np.array(v))
             assert direction.shape == (3,) and length.shape == ()
             assert length == scale and np.array_equal(direction, Z)
+
+
+class TestFloatPathIsTheBatchKernel:
+    """One vector takes Python floats, a batch arrays, through the one dot
+    product: the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scale=st.one_of(st.sampled_from([0.0, 1e-160, 1.0, 1e200]),
+                           st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lengths_and_directions(self, scale, seed):
+        # 1e-160 and 1e200 take the rescaled path, and so does 0.
+        v = scale * np.random.default_rng(seed).normal(size=3)
+        length, direction = lengths_and_directions(v)
+        lengths, directions = lengths_and_directions(v[None])
+        assert float(length).hex() == float(lengths[0]).hex()
+        assert np.array_equal(direction.view(np.int64), directions[0].view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(speed=speed_draws, seed=st.integers(0, 2**32 - 1), orthogonal=st.booleans())
+    def test_alpha_norm(self, speed, seed, orthogonal):
+        rng = np.random.default_rng(seed)
+        direction, a = random_direction(rng), random_direction(rng)
+        if orthogonal:
+            a = unit(np.cross(direction, a))
+        bv = BeamVelocity(beta=speed * direction, magnitude=speed, direction=direction)
+        len2 = alpha_lengths(a[None], speed, direction)[1][0]
+        assert alpha_norm(a, bv).hex() == math.sqrt(len2).hex()
 
 
 class TestAlphaVector:

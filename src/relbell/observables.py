@@ -21,9 +21,9 @@ which interpolates between the rest-frame value -a . b and the
 ultrarelativistic limit -sign(n.a) sign(n.b).
 
 Two independent evaluation routes are provided. The closed form is one
-formula of ``kinematics.dot`` products, ``correlation``, over arrays in
-``correlations``, the kernel of ``bell.chsh_batch``, and over Python
-floats in ``velocity_correlations``, for one velocity. ``eprb_oracle`` builds the
+formula of ``kinematics.dot`` products, ``correlation``: over arrays in
+``correlations``, the kernel of ``bell.chsh_batch``, and over the floats
+of one velocity in ``velocity_correlations``. ``eprb_oracle`` builds the
 observable matrices and takes their tensor-product expectation value in
 the explicit singlet, one constant state for every beam direction since
 the singlet is rotation invariant, in ``oracle_correlations``, the batch

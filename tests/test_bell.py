@@ -420,7 +420,7 @@ def unit_rows(v):
 
 class TestOneKernel:
     """chsh_batch, chsh_value and eprb_closed_form share
-    observables.correlations."""
+    observables.correlation."""
 
     def test_chsh_value_is_the_fsum_of_its_closed_form_terms(self, rng):
         # 2400 draws, a third each at rest, at uniform speeds below 1 and
